@@ -6,10 +6,10 @@ The channel is the convex mixture
 
 with U0 = e^{+iH dt} and U_mn = e^{i(H + kappa_mn SW_mn) dt}. When H commutes
 with a swap (uniform couplings), U_mn factorizes as U0 times the partial swap
-cos(kappa dt) I + i sin(kappa dt) SW_mn, and the conjugation reduces to index
-gathers; otherwise the pair unitary comes from a full Hermitian
-eigendecomposition. Both paths accumulate the mixture in fixed pair order, so
-iterated runs are bitwise reproducible.
+cos(kappa dt) I + i sin(kappa dt) SW_mn, and the conjugation reduces to
+exchanging the tensor axes of sites m and n; otherwise the pair unitary comes
+from a full Hermitian eigendecomposition. Both paths accumulate the mixture in
+fixed pair order, so iterated runs are bitwise reproducible.
 """
 
 from __future__ import annotations
@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
-    build_swap_operator,
     entropy_from_eigenvalues,
     magnetization_values,
     pair_list,
+    per_entry_values,
     single_site_expectations,
     sites_from_dim,
     swap_commutation_residual,
@@ -55,12 +55,7 @@ def _per_pair_map(value, pairs, name: str) -> np.ndarray:
             missing = [p for p in pairs if p not in seen]
             raise ValueError(f"{name}: missing pairs {missing}")
         return out
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size == 1:
-        return np.full(len(pairs), arr.item())
-    if arr.size != len(pairs):
-        raise ValueError(f"{name}: expected scalar or {len(pairs)} values")
-    return arr.astype(float)
+    return per_entry_values(value, len(pairs), name, "per-pair")
 
 
 @dataclass(frozen=True)
@@ -99,7 +94,7 @@ class ChannelSpec:
 
 @dataclass
 class Channel:
-    """Compiled channel: either gather-based (product) or dense unitaries."""
+    """Compiled channel: either partial-swap product form or dense unitaries."""
 
     n: int
     dim: int
@@ -110,7 +105,6 @@ class Channel:
     mode: str                       # "product" or "dense"
     u0: np.ndarray                  # dense U0 (product mode, non-diagonal H)
     u0_phases: np.ndarray | None    # U0 diagonal phases when H is diagonal
-    perms: np.ndarray | None        # (n_pairs, dim) swap permutations
     unitary_stack: np.ndarray | None = field(default=None, repr=False)
     weights: np.ndarray | None = field(default=None, repr=False)
     u0_evals: np.ndarray | None = field(default=None, repr=False)
@@ -121,21 +115,14 @@ class Channel:
     def unitaries(self):
         """Yield (probability, dense unitary) in fixed order, U0 first."""
         if self.mode == "dense":
-            for k in range(len(self.pairs) + 1):
-                yield self.weights[k], self.unitary_stack[k]
+            yield from zip(self.weights, self.unitary_stack)
             return
         yield self.weights[0], self.u0
         theta = self.kappas * self.spec.dt
-        for k, perm in enumerate(self.perms):
+        for k, (m, n) in enumerate(self.pairs):
+            perm = swap_permutation(self.n, m, n)
             psw = np.cos(theta[k]) * self.u0 + 1j * np.sin(theta[k]) * self.u0[:, perm]
             yield self.weights[k + 1], psw
-
-    @property
-    def probs_full(self) -> np.ndarray:
-        return self.weights
-
-    def apply(self, rho: np.ndarray) -> np.ndarray:
-        return apply_channel(self, rho)
 
 
 def _polar_project(u: np.ndarray) -> np.ndarray:
@@ -185,25 +172,27 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None,
             raise ValueError(f"U0 unitarity residual {u_err:.3e}")
 
     if product_form:
-        perms = np.stack([swap_permutation(n_sites, m, n) for m, n in pairs])
         phase_mat = None
         if u0_phases is not None:
             phase_mat = np.outer(u0_phases, u0_phases.conj())
         return Channel(n=n_sites, dim=dim, spec=spec, pairs=pairs, probs=probs,
                        kappas=kappas, mode="product", u0=u0,
-                       u0_phases=u0_phases, perms=perms, weights=weights,
+                       u0_phases=u0_phases, weights=weights,
                        u0_evals=evals, u0_vecs=vecs, _phase_mat=phase_mat)
 
     # Dense unitaries for every mixture member (non-commuting pairs).
     stack = np.empty((len(pairs) + 1, dim, dim), dtype=complex)
     stack[0] = u0
     for k, (m, n) in enumerate(pairs):
+        perm = swap_permutation(n_sites, m, n)
         if residuals[k] <= COMMUTE_TOL:
-            perm = swap_permutation(n_sites, m, n)
             theta = kappas[k] * spec.dt
             stack[k + 1] = np.cos(theta) * u0 + 1j * np.sin(theta) * u0[:, perm]
         else:
-            hk = H + kappas[k] * build_swap_operator(m, n, n_sites)
+            # H + kappa SW without forming SW; adding kappa * 0 first gives
+            # the zero entries the same signs as the dense sum.
+            hk = H + kappas[k] * 0.0
+            hk[perm, np.arange(dim)] += kappas[k]
             evals_k, vecs_k = np.linalg.eigh(hk)
             stack[k + 1] = _polar_project(
                 (vecs_k * np.exp(1j * evals_k * spec.dt)) @ vecs_k.conj().T)
@@ -215,7 +204,7 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None,
                 raise ValueError(f"unitary {k} residual {u_err:.3e}")
     ch = Channel(n=n_sites, dim=dim, spec=spec, pairs=pairs, probs=probs,
                  kappas=kappas, mode="dense", u0=u0, u0_phases=None,
-                 perms=None, unitary_stack=stack, weights=weights)
+                 unitary_stack=stack, weights=weights)
     ch._stack_dag = stack.conj().transpose(0, 2, 1).copy()
     return ch
 
@@ -223,10 +212,11 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None,
 def _mix_product(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """Partial-swap mixing map alone, without the U0 rotation.
 
-    Gather-based, so the coefficient mass is exactly 1 per mixture member
-    (cos^2 stored as 1 - sin^2): the trace survives long iteration without
-    systematic drift. Commutes with conjugation by U0 when the channel is in
-    product form.
+    With rho as a (2,)*2N tensor, P rho P, P rho and rho P are views with the
+    axes of sites m and n exchanged, each term formed in one scratch buffer.
+    The coefficient mass is exactly 1 per mixture member (cos^2 stored as
+    1 - sin^2), so the trace survives long iteration without systematic
+    drift. Commutes with conjugation by U0 when the channel is in product form.
     """
     theta = ch.kappas * ch.spec.dt
     cos_t, sin_t = np.cos(theta), np.sin(theta)
@@ -235,12 +225,19 @@ def _mix_product(ch: Channel, rho: np.ndarray) -> np.ndarray:
     w_pairs = ch.weights[1:]
     diag_coeff = ch.weights[0] + float(np.sum(w_pairs * cos_sq))
     inner = diag_coeff * rho
-    for k, perm in enumerate(ch.perms):
+    tensor = rho.reshape((2,) * (2 * ch.n))
+    acc = inner.reshape(tensor.shape)       # a view: adds land in inner
+    scratch = np.empty_like(acc)
+    for k, (m, n) in enumerate(ch.pairs):
+        p_rho = tensor.swapaxes(m, n)
         # PSW rho PSW^dag = c^2 rho + s^2 P rho P + i s c (P rho - rho P)
-        inner += (w_pairs[k] * sin_sq[k]) * rho[np.ix_(perm, perm)]
+        np.multiply(w_pairs[k] * sin_sq[k], p_rho.swapaxes(ch.n + m, ch.n + n), out=scratch)
+        acc += scratch
         sc = w_pairs[k] * sin_t[k] * cos_t[k]
         if sc != 0.0:
-            inner += (1j * sc) * (rho[perm, :] - rho[:, perm])
+            np.subtract(p_rho, tensor.swapaxes(ch.n + m, ch.n + n), out=scratch)
+            np.multiply(1j * sc, scratch, out=scratch)
+            acc += scratch
     return inner
 
 
@@ -381,17 +378,18 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
     snapshots: dict = {}
 
     # Product channels with a non-diagonal U0 iterate in the rotating frame:
-    # only the gather-based mixer touches the state, and the U0^n rotation is
-    # synthesized per record. Dense-sandwich roundoff then shows up in the
-    # recorded view, not in the iterated state, so invariants hold to machine
-    # precision over arbitrarily long runs. Trace, Hermiticity, spectrum and
-    # entropy are frame-independent and are checked on the state itself.
+    # only the partial-swap mixer touches the state, and the U0^n rotation is
+    # synthesized per record in two reused buffers. Dense-sandwich roundoff then
+    # shows up in the recorded view, not in the iterated state, so invariants
+    # hold to machine precision over arbitrarily long runs. Trace, Hermiticity,
+    # spectrum and entropy are frame-independent and are checked on the state.
     rotating = ch.mode == "product" and ch._phase_mat is None
     if rotating:
         vecs = ch.u0_vecs
         vecs_dag = vecs.conj().T.copy()
         angles = ch.u0_evals * ch.spec.dt
         two_pi = 2.0 * np.pi
+        rot, left = np.empty_like(vecs), np.empty_like(vecs)
 
     sigma = np.array(rho0, dtype=complex)
     rho = sigma
@@ -403,19 +401,16 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
             if rotating:
                 sigma = _mix_product(ch, sigma)
                 phases = np.exp(1j * np.mod(n * angles, two_pi))
-                rot = (vecs * phases) @ vecs_dag
-                rho = rot @ sigma @ rot.conj().T
+                np.matmul(np.multiply(vecs, phases, out=left), vecs_dag, out=rot)
+                np.matmul(rot, sigma, out=left)
+                rho = left @ np.conjugate(rot, out=rot).T
             else:
                 sigma = apply_channel(ch, sigma)
                 rho = sigma
         for j, s in enumerate(sites):
-            sx, sy, sz = single_site_expectations(rho, s)
-            if "sx" in records:
-                records["sx"][n, j] = sx
-            if "sy" in records:
-                records["sy"][n, j] = sy
-            if "sz" in records:
-                records["sz"][n, j] = sz
+            for name, value in zip(("sx", "sy", "sz"), single_site_expectations(rho, s)):
+                if name in records:
+                    records[name][n, j] = value
         if "loschmidt" in records:
             records["loschmidt"][n] = float(np.real(np.sum(rho0_conj * rho)))
         if "total_mz" in records:

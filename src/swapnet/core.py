@@ -12,6 +12,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -157,21 +158,13 @@ class HamiltonianSpec:
         }
 
 
-def _per_bond(value, n_pairs: int, name: str) -> np.ndarray:
+def per_entry_values(value, size: int, name: str, unit: str) -> np.ndarray:
+    """A scalar repeated `size` times, or a sequence of exactly `size` values."""
     arr = np.atleast_1d(np.asarray(value, dtype=float))
     if arr.size == 1:
-        return np.full(n_pairs, arr.item())
-    if arr.size != n_pairs:
-        raise ValueError(f"{name}: expected scalar or {n_pairs} per-bond values")
-    return arr.astype(float)
-
-
-def _per_site(value, n_sites: int, name: str) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(value, dtype=float))
-    if arr.size == 1:
-        return np.full(n_sites, arr.item())
-    if arr.size != n_sites:
-        raise ValueError(f"{name}: expected scalar or {n_sites} per-site values")
+        return np.full(size, arr.item())
+    if arr.size != size:
+        raise ValueError(f"{name}: expected scalar or {size} {unit} values")
     return arr.astype(float)
 
 
@@ -186,26 +179,31 @@ def build_network_hamiltonian(n_sites: int, jx=0.0, jy=0.0, jz=0.0,
     """
     check_qubit_count(n_sites)
     pairs = pair_list(n_sites)
-    jx = _per_bond(jx, len(pairs), "jx")
-    jy = _per_bond(jy, len(pairs), "jy")
-    jz = _per_bond(jz, len(pairs), "jz")
-    hz = _per_site(hz, n_sites, "hz")
-    hx = _per_site(hx, n_sites, "hx")
+    jx = per_entry_values(jx, len(pairs), "jx", "per-bond")
+    jy = per_entry_values(jy, len(pairs), "jy", "per-bond")
+    jz = per_entry_values(jz, len(pairs), "jz", "per-bond")
+    hz = per_entry_values(hz, n_sites, "hz", "per-site")
+    hx = per_entry_values(hx, n_sites, "hx", "per-site")
 
+    # Bit operations: zz and z terms sum into the diagonal, xx/yy/x terms land
+    # at column idx ^ mask (yy with sign -z_m z_n), in the kron-chain sum's term
+    # order, so every entry is the same; a zero coupling adds exact zeros.
     dim = 2**n_sites
+    idx = np.arange(dim)
+    z = [1 - 2 * site_bits(n_sites, s) for s in range(n_sites)]
+    mask = [1 << (n_sites - 1 - s) for s in range(n_sites)]
     ham = np.zeros((dim, dim), dtype=complex)
+    diag = np.zeros(dim)
     for k, (m, n) in enumerate(pairs):
-        if jx[k] != 0.0:
-            ham += jx[k] * two_site_operator(PAULI_X, PAULI_X, m, n, n_sites)
-        if jy[k] != 0.0:
-            ham += jy[k] * two_site_operator(PAULI_Y, PAULI_Y, m, n, n_sites)
-        if jz[k] != 0.0:
-            ham += jz[k] * two_site_operator(PAULI_Z, PAULI_Z, m, n, n_sites)
+        flip = idx ^ (mask[m] | mask[n])
+        zz = z[m] * z[n]
+        ham[idx, flip] += jx[k]
+        ham[idx, flip] -= jy[k] * zz
+        diag += jz[k] * zz
     for m in range(n_sites):
-        if hz[m] != 0.0:
-            ham += hz[m] * local_operator(PAULI_Z, m, n_sites)
-        if hx[m] != 0.0:
-            ham += hx[m] * local_operator(PAULI_X, m, n_sites)
+        diag += hz[m] * z[m]
+        ham[idx, idx ^ mask[m]] += hx[m]
+    ham[idx, idx] = diag
     return ham
 
 
@@ -258,10 +256,7 @@ def partial_trace(rho: np.ndarray, drop, n_sites: int | None = None) -> np.ndarr
 
 def von_neumann_entropy(rho: np.ndarray) -> float:
     """S = -sum lambda ln lambda with eigenvalues clipped at zero."""
-    evals = np.linalg.eigvalsh(rho)
-    evals = np.clip(evals.real, 0.0, None)
-    pos = evals[evals > 0.0]
-    return float(-np.sum(pos * np.log(pos)))
+    return entropy_from_eigenvalues(np.linalg.eigvalsh(rho))
 
 
 def entropy_from_eigenvalues(evals: np.ndarray) -> float:
@@ -273,9 +268,10 @@ def entropy_from_eigenvalues(evals: np.ndarray) -> float:
 def swap_commutation_residual(H: np.ndarray, m: int, n: int,
                               kappa: float = 1.0) -> float:
     """Max-norm of [kappa SW_mn, H]; zero iff the pair decouples from H."""
-    n_sites = sites_from_dim(H.shape[0])
-    sw = build_swap_operator(m, n, n_sites)
-    comm = sw @ H - H @ sw
+    perm = swap_permutation(sites_from_dim(H.shape[0]), m, n)
+    # H[perm, :] - H[:, perm] holds the entries of SW H - H SW without forming SW
+    comm = H[perm, :]
+    comm -= H[:, perm]
     return float(abs(kappa) * np.max(np.abs(comm)))
 
 
@@ -394,14 +390,23 @@ def single_site_expectations(rho: np.ndarray, site: int) -> tuple[float, float, 
     n_sites = sites_from_dim(rho.shape[0])
     if not 0 <= site < n_sites:
         raise ValueError(f"site {site} out of range for {n_sites} qubits")
-    idx = np.arange(rho.shape[0])
-    bit = (idx >> (n_sites - 1 - site)) & 1
-    flip = idx ^ (1 << (n_sites - 1 - site))
+    idx, flip, y_sign, z_sign = _site_indices(n_sites, site)
     cross = rho[flip, idx]
     sx = float(np.real(np.sum(cross)))
-    sy = float(np.real(np.sum(1j * (2 * bit - 1) * cross)))
-    sz = float(np.real(np.sum((1 - 2 * bit) * rho[idx, idx])))
+    sy = float(np.real(np.sum(y_sign * cross)))
+    sz = float(np.real(np.sum(z_sign * rho[idx, idx])))
     return sx, sy, sz
+
+
+@lru_cache(maxsize=None)
+def _site_indices(n_sites: int, site: int) -> tuple[np.ndarray, ...]:
+    """Read-only (index, flipped index, i(2b - 1), 1 - 2b) for one site."""
+    idx = np.arange(2**n_sites)
+    bit = site_bits(n_sites, site)
+    arrays = (idx, idx ^ (1 << (n_sites - 1 - site)), 1j * (2 * bit - 1), 1 - 2 * bit)
+    for a in arrays:
+        a.setflags(write=False)
+    return arrays
 
 
 def total_magnetization_expectation(rho: np.ndarray) -> float:

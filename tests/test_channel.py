@@ -4,6 +4,7 @@ import pytest
 from swapnet.channel import (
     Channel,
     ChannelSpec,
+    _mix_product,
     apply_channel,
     build_channel,
     channel_superoperator,
@@ -19,6 +20,7 @@ from swapnet.core import (
     make_initial_state,
     pair_list,
     purity,
+    swap_permutation,
 )
 
 
@@ -167,6 +169,43 @@ class TestApply:
             apply_channel(ch, np.eye(4, dtype=complex) / 4)
 
 
+def gather_mix(ch, rho):
+    """The index-gather form of the partial-swap mixer, as an oracle."""
+    theta = ch.kappas * ch.spec.dt
+    cos_t, sin_t = np.cos(theta), np.sin(theta)
+    sin_sq = sin_t**2
+    cos_sq = 1.0 - sin_sq
+    w_pairs = ch.weights[1:]
+    diag_coeff = ch.weights[0] + float(np.sum(w_pairs * cos_sq))
+    inner = diag_coeff * rho
+    for k, (m, n) in enumerate(ch.pairs):
+        perm = swap_permutation(ch.n, m, n)
+        inner += (w_pairs[k] * sin_sq[k]) * rho[np.ix_(perm, perm)]
+        sc = w_pairs[k] * sin_t[k] * cos_t[k]
+        if sc != 0.0:
+            inner += (1j * sc) * (rho[perm, :] - rho[:, perm])
+    return inner
+
+
+class TestMixer:
+    @pytest.mark.parametrize("n", range(2, 8))
+    @pytest.mark.parametrize("family", ["ising", "xx"])
+    def test_matches_gather_formula(self, n, family):
+        rng = np.random.default_rng(n)
+        n_pairs = n * (n - 1) // 2
+        probs = rng.uniform(0.5, 1.5, n_pairs)
+        probs *= 0.7 / probs.sum()
+        kappa = rng.uniform(0.2, 1.4, n_pairs)
+        kappa[-1] = 0.0                       # sin cos = 0: the P rho - rho P term is skipped
+        kw = dict(j_z=0.4) if family == "ising" else dict(j_x=0.4)
+        h = build_hamiltonian(HamiltonianSpec(family=family, n=n, h=0.1, **kw))
+        ch = build_channel(h, ChannelSpec(p0=0.3, pair_probabilities=probs, kappa=kappa))
+        assert ch.mode == "product"
+        dim = 2**n
+        operand = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        assert np.array_equal(_mix_product(ch, operand), gather_mix(ch, operand))
+
+
 class TestIterate:
     def test_zero_steps(self):
         ch = build_channel(ISING3)
@@ -194,6 +233,24 @@ class TestIterate:
         for _ in range(60):
             direct = apply_channel(ch, direct)
         assert np.allclose(traj.final_state, direct, atol=1e-12)
+
+    def test_rotating_frame_results_not_aliased(self):
+        # the frame buffers are reused across steps; returned arrays must not be
+        ch = build_channel(XX3)
+        rho = haar_state(3, 12)
+        a = iterate_channel(ch, rho, 5, snapshot_stride=1)
+        kept = {n: s.copy() for n, s in a.snapshots.items()}
+        final = a.final_state.copy()
+        b = iterate_channel(ch, rho, 7, snapshot_stride=1)
+        assert not np.shares_memory(a.final_state, b.final_state)
+        assert np.array_equal(a.final_state, final)
+        assert np.array_equal(b.snapshots[5], final)
+        arrays = list(a.snapshots.values()) + [a.final_state]
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+        for n, s in a.snapshots.items():
+            assert np.array_equal(s, kept[n])
 
     def test_invariants_hold_over_long_run(self):
         ch = build_channel(ISING3)

@@ -98,6 +98,35 @@ class TestHamiltonians:
         z1 = local_operator(PAULI_Z, 1, 2)
         assert np.allclose(h, 0.1 * z0 + 0.2 * z1)
 
+    @pytest.mark.parametrize("family", ["ising", "tfi", "xx", "xyz", "general"])
+    def test_matches_kron_chain_sum(self, family):
+        # the bit-operation build against the kron-chain sum it replaced,
+        # terms added in the same order
+        active = {"ising": ("jz", "hz"), "tfi": ("jz", "hx"), "xx": ("jx", "jy", "hz"),
+                  "xyz": ("jx", "jy", "jz", "hz"),
+                  "general": ("jx", "jy", "jz", "hz", "hx")}[family]
+        rng = np.random.default_rng(7)
+        for n_sites in range(2, 7):
+            n_pairs = n_sites * (n_sites - 1) // 2
+            coeffs = {name: rng.uniform(-1, 1, n_pairs if name[0] == "j" else n_sites)
+                      for name in active}
+            if family == "xx":
+                coeffs["jy"] = coeffs["jx"]
+            coeffs[active[0]][0] = 0.0
+            full = {name: coeffs.get(name, np.zeros(n_pairs if name[0] == "j" else n_sites))
+                    for name in ("jx", "jy", "jz", "hz", "hx")}
+            dim = 2**n_sites
+            expected = np.zeros((dim, dim), dtype=complex)
+            for k, (m, n) in enumerate(pair_list(n_sites)):
+                for name, op in (("jx", PAULI_X), ("jy", PAULI_Y), ("jz", PAULI_Z)):
+                    if full[name][k] != 0.0:
+                        expected += full[name][k] * two_site_operator(op, op, m, n, n_sites)
+            for m in range(n_sites):
+                for name, op in (("hz", PAULI_Z), ("hx", PAULI_X)):
+                    if full[name][m] != 0.0:
+                        expected += full[name][m] * local_operator(op, m, n_sites)
+            assert np.array_equal(build_network_hamiltonian(n_sites, **coeffs), expected)
+
     def test_per_bond_array_length_checked(self):
         with pytest.raises(ValueError):
             build_network_hamiltonian(3, jz=[0.1, 0.2])
@@ -175,6 +204,25 @@ class TestCommutation:
         full = swap_commutation_residual(h, 0, 1, kappa=1.0)
         half = swap_commutation_residual(h, 0, 1, kappa=0.5)
         assert np.isclose(half, 0.5 * full)
+
+    @pytest.mark.parametrize("disordered", [False, True])
+    def test_matches_dense_swap_commutator(self, disordered):
+        # the permuted-row/column difference holds the same entries as
+        # SW H - H SW, so the residual is the same float
+        rng = np.random.default_rng(3)
+        n_sites = 4
+        if disordered:
+            h = build_network_hamiltonian(n_sites, jx=rng.uniform(0.1, 0.6, 6),
+                                          jy=rng.uniform(0.1, 0.6, 6),
+                                          hz=rng.uniform(-1, 1, 4), hx=0.2)
+        else:
+            h = build_hamiltonian(HamiltonianSpec(family="xyz", n=n_sites, j_x=0.3,
+                                                  j_y=0.2, j_z=0.5, h=0.4))
+        for m, n in pair_list(n_sites):
+            sw = build_swap_operator(m, n, n_sites)
+            for kappa in (0.7, -1.3):
+                dense = float(abs(kappa) * np.max(np.abs(sw @ h - h @ sw)))
+                assert swap_commutation_residual(h, m, n, kappa=kappa) == dense
 
 
 class TestPartialTrace:
@@ -293,6 +341,18 @@ class TestObservables:
                 dense = float(np.real(np.trace(
                     rho @ local_operator(paulis[name], site, 3))))
                 assert np.isclose(val, dense, atol=1e-12)
+
+    def test_single_site_matches_uncached_gathers(self):
+        rho = make_initial_state(StateSpec(kind="haar_random_pure", seed=13), 4)
+        idx = np.arange(16)
+        for site in range(4):
+            bit = (idx >> (3 - site)) & 1
+            cross = rho[idx ^ (1 << (3 - site)), idx]
+            expected = (float(np.real(np.sum(cross))),
+                        float(np.real(np.sum(1j * (2 * bit - 1) * cross))),
+                        float(np.real(np.sum((1 - 2 * bit) * rho[idx, idx]))))
+            assert single_site_expectations(rho, site) == expected
+            assert single_site_expectations(rho, site) == expected
 
     def test_total_magnetization(self):
         rho = make_initial_state(StateSpec(kind="haar_random_pure", seed=12), 3)
