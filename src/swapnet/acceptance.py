@@ -26,7 +26,7 @@ from .analysis import (
     spectrum_of_series,
 )
 from .attractor import (
-    _gamma_stack,
+    build_gamma,
     enumerate_classes,
     general_attractor_spectrum,
     ising_attractor_spectrum,
@@ -168,7 +168,7 @@ def criterion_03_attractor_count(quick: bool = False) -> CriterionResult:
     del quick
     counts = {n: len(enumerate_classes(n)) for n in (3, 6, 9)}
     expected = {n: comb(n + 3, 3) for n in (3, 6, 9)}
-    _, stack = _gamma_stack(3)
+    stack = np.stack([build_gamma(b).matrix for b in enumerate_classes(3)])
     gram = np.tensordot(stack.conj(), stack, axes=[[1, 2], [1, 2]])
     ortho = float(np.max(np.abs(gram - np.eye(len(stack)))))
     ok = counts == expected and ortho <= 1e-10

@@ -5,18 +5,30 @@ operators Gamma_beta, one per 4-tuple beta = (b00, b01, b10, b11) counting
 the per-site (upper, lower) index columns of a basis outer product. All
 unimodular eigen-operators of the channel live in this span; the late-time
 state is their phase-rotating sum weighted by initial overlaps.
+
+Every matrix entry belongs to exactly one class, so one integer label per
+entry (`class_labels`) stands for the whole basis: overlaps with the Gamma
+operators are label-wise sums and their combinations are label-wise
+gathers, both O(dim^2). Operators in the span are held as class
+coordinates, never as a dense stack of Gamma matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from math import comb, factorial
 
 import numpy as np
 
-from .core import check_qubit_count, sites_from_dim, swap_commutation_residual, swap_permutation
+from .core import (
+    check_qubit_count,
+    pair_list,
+    site_bits,
+    sites_from_dim,
+    swap_commutation_residual,
+    swap_permutation,
+)
 
 
 @dataclass(frozen=True)
@@ -69,22 +81,47 @@ def enumerate_classes(n_sites: int) -> list[ClassIndex]:
     return out
 
 
-def gamma_entry_indices(beta: ClassIndex) -> tuple[np.ndarray, np.ndarray]:
-    """(row, col) basis indices of the class's nonzero entries."""
-    n = beta.n
-    sites = tuple(range(n))
-    weights = [1 << (n - 1 - s) for s in sites]
-    rows, cols = [], []
-    for pos01 in combinations(sites, beta.b01):
-        rem1 = tuple(s for s in sites if s not in pos01)
-        for pos10 in combinations(rem1, beta.b10):
-            rem2 = tuple(s for s in rem1 if s not in pos10)
-            for pos11 in combinations(rem2, beta.b11):
-                ones_upper = sum(weights[s] for s in pos10) + sum(weights[s] for s in pos11)
-                ones_lower = sum(weights[s] for s in pos01) + sum(weights[s] for s in pos11)
-                rows.append(ones_upper)
-                cols.append(ones_lower)
-    return np.asarray(rows), np.asarray(cols)
+@lru_cache(maxsize=4)
+def class_labels(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
+    """(labels, sizes): the class of every matrix entry and each class's size.
+
+    labels[i, j] is the position in enumerate_classes(n_sites) of the class
+    of entry (i, j), read from b11 = popcount(i & j), b10 = popcount(i & ~j)
+    and b01 = popcount(~i & j). sizes[k] is class k's entry count, its
+    arrangements. Gamma_k is (labels == k) / sqrt(sizes[k]). Both arrays are
+    cached per network size and read-only.
+    """
+    classes = enumerate_classes(n_sites)
+    position = np.empty((n_sites + 1,) * 3, dtype=np.intp)
+    for k, beta in enumerate(classes):
+        position[beta.b01, beta.b10, beta.b11] = k
+    popcount = np.zeros(2**n_sites, dtype=np.intp)
+    for site in range(n_sites):
+        popcount += site_bits(n_sites, site)
+    idx = np.arange(2**n_sites)
+    b11 = popcount[idx[:, None] & idx[None, :]]
+    labels = position[popcount[None, :] - b11, popcount[:, None] - b11, b11]
+    sizes = np.array([beta.arrangements for beta in classes], dtype=np.intp)
+    labels.setflags(write=False)
+    sizes.setflags(write=False)
+    return labels, sizes
+
+
+def _class_coordinates(x: np.ndarray, n_sites: int) -> np.ndarray:
+    """Overlaps (Gamma_k, x) for every class k: label-wise sums of x."""
+    labels, sizes = class_labels(n_sites)
+    if x.shape != labels.shape:
+        raise ValueError(f"operand shape {x.shape} does not match {n_sites} qubits")
+    flat, k = labels.ravel(), len(sizes)
+    sums = (np.bincount(flat, np.real(x).ravel(), k)
+            + 1j * np.bincount(flat, np.imag(x).ravel(), k))
+    return sums / np.sqrt(sizes)
+
+
+def _from_class_coordinates(coords: np.ndarray, n_sites: int) -> np.ndarray:
+    """The matrix sum_k coords[k] Gamma_k (coords may stack along axis 0)."""
+    labels, sizes = class_labels(n_sites)
+    return (coords / np.sqrt(sizes))[..., labels]
 
 
 @dataclass(frozen=True)
@@ -98,21 +135,12 @@ class AttractorBasisElement:
 
 def build_gamma(beta: ClassIndex) -> AttractorBasisElement:
     n = check_qubit_count(beta.n)
-    rows, cols = gamma_entry_indices(beta)
-    dim = 2**n
-    mat = np.zeros((dim, dim), dtype=complex)
-    mat[rows, cols] = 1.0 / np.sqrt(beta.arrangements)
+    labels, _ = class_labels(n)
+    mat = np.zeros(labels.shape, dtype=complex)
+    mat[labels == enumerate_classes(n).index(beta)] = 1.0 / np.sqrt(beta.arrangements)
     c = 1.0 / np.sqrt(float(factorial(n)) * factorial(beta.b00) * factorial(beta.b01)
                       * factorial(beta.b10) * factorial(beta.b11))
     return AttractorBasisElement(class_index=beta, matrix=mat, normalization=c)
-
-
-@lru_cache(maxsize=8)
-def _gamma_stack(n_sites: int) -> tuple:
-    """(classes, stacked Gamma matrices) cached per network size."""
-    classes = enumerate_classes(n_sites)
-    stack = np.stack([build_gamma(b).matrix for b in classes])
-    return tuple(classes), stack
 
 
 def ising_energy(magnetization: float, n_sites: int, j_z: float, h: float) -> float:
@@ -122,16 +150,28 @@ def ising_energy(magnetization: float, n_sites: int, j_z: float, h: float) -> fl
 
 @dataclass
 class AttractorSpectrum:
-    """Unimodular eigenvalues with orthonormal eigen-operators."""
+    """Unimodular eigenvalues with orthonormal eigen-operators.
+
+    The eigen-operators are held as class coordinates: operator k is
+    sum_b coordinates[k, b] Gamma_b.
+    """
 
     eigenvalues: np.ndarray
-    operators: np.ndarray | None       # (K, dim, dim) stack, or None
+    coordinates: np.ndarray | None     # (K, K), or None
     classes: list | None               # ClassIndex per entry (analytic case)
     degeneracies: np.ndarray           # d_nu of each entry's eigenvalue cluster
+    n_sites: int
 
     @property
     def phases(self) -> np.ndarray:
         return np.angle(self.eigenvalues)
+
+    @property
+    def operators(self) -> np.ndarray | None:
+        """(K, dim, dim) stack of the eigen-operators, built on each access."""
+        if self.coordinates is None:
+            return None
+        return _from_class_coordinates(self.coordinates, self.n_sites)
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
@@ -164,7 +204,7 @@ def ising_attractor_spectrum(n_sites: int, j_z: float, h: float,
     """Analytic spectrum: each class carries nu = e^{i[eps(M_up)-eps(M_low)]dt}.
 
     Classes whose upper and lower indices share a magnetization are exactly
-    stationary (nu = 1).
+    stationary (nu = 1). The eigen-operators are the Gamma_beta themselves.
     """
     check_qubit_count(n_sites)
     classes = enumerate_classes(n_sites)
@@ -177,12 +217,11 @@ def ising_attractor_spectrum(n_sites: int, j_z: float, h: float,
         else:
             phase = ising_energy(m_up, n_sites, j_z, h) - ising_energy(m_low, n_sites, j_z, h)
             eigenvalues[k] = np.exp(1j * phase * dt)
-    operators = None
-    if include_operators:
-        operators = np.stack([build_gamma(b).matrix for b in classes])
-    return AttractorSpectrum(eigenvalues=eigenvalues, operators=operators,
+    coordinates = np.eye(len(classes), dtype=complex) if include_operators else None
+    return AttractorSpectrum(eigenvalues=eigenvalues, coordinates=coordinates,
                              classes=classes,
-                             degeneracies=_cluster_degeneracies(eigenvalues))
+                             degeneracies=_cluster_degeneracies(eigenvalues),
+                             n_sites=n_sites)
 
 
 def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0,
@@ -193,6 +232,11 @@ def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0,
     eigendecomposes the restricted (unitary) matrix, and returns eigen-pairs
     with residual guarantees. Degenerate eigenvalue clusters are
     re-orthonormalized in deterministic column order.
+
+    The span is streamed one class at a time: U0 Gamma_b U0^dag is formed
+    from the columns of U0 at the class's entries, and its class coordinates
+    are column b of the restricted matrix. The part of the image outside the
+    span (its leak, roundoff only) enters each eigen-pair's residual bound.
     """
     n_sites = sites_from_dim(H.shape[0])
     for m in range(n_sites):
@@ -202,13 +246,27 @@ def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0,
                 raise ValueError(
                     f"H does not commute with swap ({m},{n}): residual {r:.3e}")
 
-    classes, gammas = _gamma_stack(n_sites)
+    labels, sizes = class_labels(n_sites)
+    dim, K = H.shape[0], len(sizes)
     evals, vecs = np.linalg.eigh(H)
     u0 = (vecs * np.exp(1j * evals * dt)) @ vecs.conj().T
-    conjugated = u0 @ gammas @ u0.conj().T
-    mat = np.tensordot(gammas.conj(), conjugated, axes=([1, 2], [1, 2]))
+    u0_t, u0_dag = u0.T.copy(), u0.conj().T.copy()
+    # Entries of class b are entries[ends[b] - sizes[b]:ends[b]], as (row, col);
+    # they are summed in blocks of dim so that no temporary exceeds dim^2.
+    entries = np.argsort(labels, axis=None, kind="stable")
+    rows, cols = np.divmod(entries, dim)
+    ends = np.cumsum(sizes)
+    mat = np.empty((K, K), dtype=complex)
+    leak = np.empty(K)
+    for b in range(K):
+        image = np.zeros((dim, dim), dtype=complex)
+        for s in range(ends[b] - sizes[b], ends[b], dim):
+            sel = slice(s, min(s + dim, ends[b]))
+            image += u0_t[rows[sel]].T @ u0_dag[cols[sel]]
+        image /= np.sqrt(sizes[b])
+        mat[:, b] = _class_coordinates(image, n_sites)
+        leak[b] = np.linalg.norm(image - _from_class_coordinates(mat[:, b], n_sites))
 
-    K = mat.shape[0]
     unitary_err = float(np.max(np.abs(mat @ mat.conj().T - np.eye(K))))
     if unitary_err > 1e-10:
         raise ValueError(f"restricted conjugation not unitary: {unitary_err:.3e}")
@@ -231,27 +289,21 @@ def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0,
             v[:, start] /= np.linalg.norm(v[:, start])
         start = stop
 
-    operators = np.tensordot(v.T, gammas, axes=(1, 0))
-    norms = np.sqrt(np.real(np.einsum("kij,kij->k", operators.conj(), operators)))
-    operators /= norms[:, None, None]
+    # Residual guarantees on every returned pair. By the triangle inequality
+    # ||U0 A U0^dag - w A|| <= ||(mat - w) v|| + sum_b |v_b| leak_b.
+    residuals = np.linalg.norm(mat @ v - v * w, axis=0) + leak @ np.abs(v)
+    k = int(np.argmax(residuals))
+    if residuals[k] > 1e-9:
+        raise ValueError(f"eigen-operator {k} conjugation residual {residuals[k]:.3e}")
+    # Every eigen-operator is a class combination, so it is swap-invariant
+    # exactly when the labels are.
+    for m, n in pair_list(n_sites):
+        perm = swap_permutation(n_sites, m, n)
+        if not np.array_equal(labels[perm][:, perm], labels):
+            raise ValueError(f"class labels not invariant under swap ({m},{n})")
 
-    # Residual guarantees on every returned pair.
-    back = u0 @ operators @ u0.conj().T
-    for k in range(K):
-        res = np.linalg.norm(back[k] - w[k] * operators[k])
-        if res > 1e-9:
-            raise ValueError(f"eigen-operator {k} conjugation residual {res:.3e}")
-    for m in range(n_sites):
-        for n in range(m + 1, n_sites):
-            perm = swap_permutation(n_sites, m, n)
-            swapped = operators[:, perm][:, :, perm]
-            res = float(np.max(np.sqrt(np.sum(np.abs(swapped - operators)**2,
-                                              axis=(1, 2)))))
-            if res > 1e-10:
-                raise ValueError(f"eigen-operator swap residual {res:.3e} at ({m},{n})")
-
-    return AttractorSpectrum(eigenvalues=w, operators=operators, classes=None,
-                             degeneracies=_cluster_degeneracies(w))
+    return AttractorSpectrum(eigenvalues=w, coordinates=v.T, classes=None,
+                             degeneracies=_cluster_degeneracies(w), n_sites=n_sites)
 
 
 @dataclass
@@ -264,13 +316,14 @@ class AttractorExpansion:
     def state_at(self, n: int) -> np.ndarray:
         phases = np.angle(self.spectrum.eigenvalues)
         weights = np.exp(1j * phases * n) * self.coefficients
-        return np.tensordot(weights, self.spectrum.operators, axes=(0, 0))
+        return _from_class_coordinates(weights @ self.spectrum.coordinates,
+                                       self.spectrum.n_sites)
 
 
 def attractor_expansion(spectrum: AttractorSpectrum, rho0: np.ndarray) -> AttractorExpansion:
-    if spectrum.operators is None:
+    if spectrum.coordinates is None:
         raise ValueError("spectrum was built without operators")
-    coeffs = np.einsum("kij,ij->k", spectrum.operators.conj(), rho0)
+    coeffs = spectrum.coordinates.conj() @ _class_coordinates(rho0, spectrum.n_sites)
     return AttractorExpansion(spectrum=spectrum, coefficients=coeffs)
 
 
@@ -283,9 +336,7 @@ def commutant_distance(rho: np.ndarray, n_sites: int | None = None) -> float:
     """Hilbert-Schmidt distance of rho from its projection onto the class span."""
     if n_sites is None:
         n_sites = sites_from_dim(rho.shape[0])
-    _, gammas = _gamma_stack(n_sites)
-    coeffs = np.einsum("kij,ij->k", gammas.conj(), rho)
-    proj = np.tensordot(coeffs, gammas, axes=(0, 0))
+    proj = _from_class_coordinates(_class_coordinates(rho, n_sites), n_sites)
     return float(np.linalg.norm(rho - proj))
 
 

@@ -241,15 +241,24 @@ def _mix_product(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return inner
 
 
+def _apply_dense(ch: Channel, rho: np.ndarray, left: np.ndarray,
+                 terms: np.ndarray) -> np.ndarray:
+    """sum_k w_k U_k rho U_k^dag, forming the weighted members in two
+    unitary-stack-shaped buffers; the returned sum is a fresh array."""
+    np.matmul(ch.unitary_stack, rho, out=left)
+    left *= ch.weights[:, None, None]
+    np.matmul(left, ch._stack_dag, out=terms)
+    return terms.sum(axis=0)
+
+
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """One application Phi(rho). Valid for any operator, not just states."""
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"operand shape {rho.shape} does not match dim {ch.dim}")
 
     if ch.mode == "dense":
-        left = ch.unitary_stack @ rho
-        left *= ch.weights[:, None, None]
-        return np.matmul(left, ch._stack_dag).sum(axis=0)
+        return _apply_dense(ch, rho, np.empty_like(ch.unitary_stack),
+                            np.empty_like(ch.unitary_stack))
 
     inner = _mix_product(ch, rho)
     if ch._phase_mat is not None:
@@ -391,6 +400,12 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
         two_pi = 2.0 * np.pi
         rot, left = np.empty_like(vecs), np.empty_like(vecs)
 
+    # Dense channels form their mixture members in two buffers allocated once.
+    dense = ch.mode == "dense"
+    if dense:
+        left_stack = np.empty_like(ch.unitary_stack)
+        term_stack = np.empty_like(ch.unitary_stack)
+
     sigma = np.array(rho0, dtype=complex)
     rho = sigma
     rho0_conj = sigma.conj().copy()
@@ -404,6 +419,9 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
                 np.matmul(np.multiply(vecs, phases, out=left), vecs_dag, out=rot)
                 np.matmul(rot, sigma, out=left)
                 rho = left @ np.conjugate(rot, out=rot).T
+            elif dense:
+                sigma = _apply_dense(ch, sigma, left_stack, term_stack)
+                rho = sigma
             else:
                 sigma = apply_channel(ch, sigma)
                 rho = sigma

@@ -58,12 +58,6 @@ class SymmetricSectorBasis:
         return (self.sector_index_for_full(a_full),
                 self.sector_index_for_full(b_full))
 
-    def sector_index_for_energy(self, energy: float, tol: float = 1e-8) -> int:
-        hits = np.nonzero(np.abs(self.energies - energy) <= tol)[0]
-        if len(hits) == 0:
-            raise KeyError(f"no sector eigenvalue within {tol} of {energy}")
-        return int(hits[0])
-
 
 def symmetric_subspace(n_sites: int) -> np.ndarray:
     """Orthonormal occupation-number basis of the exchange-symmetric sector."""
@@ -137,16 +131,24 @@ def find_dynamical_symmetries(H: np.ndarray,
         sector = symmetric_sector_basis(H)
     n_sites = sector.n
     perms = [swap_permutation(n_sites, m, n) for m, n in pair_list(n_sites)]
+    # For A = |a><b|: HA - AH - omega A
+    #   = (H v_a - E_a v_a) v_b^dag - v_a (v_b^dag H - E_b v_b^dag),
+    # so H V and V^dag H, taken once, give every pair's commutator.
+    vecs, energies = sector.vectors, sector.energies
+    vecs_dag = vecs.conj().T
+    h_left = H @ vecs - vecs * energies
+    h_right = vecs_dag @ H - energies[:, None] * vecs_dag
     out = []
     for a in range(sector.dimension):
         for b in range(sector.dimension):
             if a == b:
                 continue
-            va = sector.vectors[:, a]
-            vb = sector.vectors[:, b]
-            op = np.outer(va, vb.conj())
-            omega = float(sector.energies[a] - sector.energies[b])
-            res_h = float(np.max(np.abs(H @ op - op @ H - omega * op)))
+            va = vecs[:, a]
+            vb = vecs[:, b]
+            op = np.outer(va, vecs_dag[b])
+            omega = float(energies[a] - energies[b])
+            res_h = float(np.max(np.abs(np.outer(h_left[:, a], vecs_dag[b])
+                                        - np.outer(va, h_right[b]))))
             res_sw = 0.0
             for perm in perms:
                 res_sw = max(res_sw, float(np.max(np.abs(op[perm, :] - op[:, perm]))))

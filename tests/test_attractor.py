@@ -1,12 +1,16 @@
+import tracemalloc
+from itertools import combinations
+from math import comb
+
 import numpy as np
 import pytest
-from math import comb
 
 from swapnet.attractor import (
     ClassIndex,
     asymptotic_state,
     attractor_expansion,
     build_gamma,
+    class_labels,
     commutant_distance,
     enumerate_classes,
     general_attractor_spectrum,
@@ -31,6 +35,53 @@ def find_class(classes, tup):
         if beta.as_tuple() == tup:
             return beta
     raise AssertionError(f"class {tup} not found")
+
+
+def combination_entries(beta):
+    """(rows, cols) of the class's entries by enumerating site arrangements."""
+    n = beta.n
+    sites = tuple(range(n))
+    weights = [1 << (n - 1 - s) for s in sites]
+    rows, cols = [], []
+    for pos01 in combinations(sites, beta.b01):
+        rem1 = tuple(s for s in sites if s not in pos01)
+        for pos10 in combinations(rem1, beta.b10):
+            rem2 = tuple(s for s in rem1 if s not in pos10)
+            for pos11 in combinations(rem2, beta.b11):
+                rows.append(sum(weights[s] for s in pos10 + pos11))
+                cols.append(sum(weights[s] for s in pos01 + pos11))
+    return np.asarray(rows), np.asarray(cols)
+
+
+def dense_gamma_stack(n):
+    classes = enumerate_classes(n)
+    stack = np.zeros((len(classes), 2**n, 2**n), dtype=complex)
+    for k, beta in enumerate(classes):
+        rows, cols = combination_entries(beta)
+        stack[k, rows, cols] = 1.0 / np.sqrt(beta.arrangements)
+    return stack
+
+
+def dense_stack_spectrum(h):
+    """(eigenvalues, eigen-operators) from the dense Gamma stack."""
+    gammas = dense_gamma_stack(int(np.log2(h.shape[0])))
+    evals, vecs = np.linalg.eigh(h)
+    u0 = (vecs * np.exp(1j * evals)) @ vecs.conj().T
+    mat = np.tensordot(gammas.conj(), u0 @ gammas @ u0.conj().T, axes=([1, 2], [1, 2]))
+    w, v = np.linalg.eig(mat)
+    order = np.argsort(np.angle(w), kind="stable")
+    w, v = w[order], v[:, order]
+    start = 0
+    while start < len(w):
+        stop = start + 1
+        while stop < len(w) and abs(w[stop] - w[start]) <= 1e-9:
+            stop += 1
+        if stop - start > 1:
+            v[:, start:stop] = np.linalg.qr(v[:, start:stop])[0]
+        else:
+            v[:, start] /= np.linalg.norm(v[:, start])
+        start = stop
+    return w, np.tensordot(v.T, gammas, axes=(1, 0))
 
 
 def match_multisets(a, b, tol):
@@ -73,6 +124,31 @@ class TestClassIndex:
     def test_negative_counts_rejected(self):
         with pytest.raises(ValueError):
             ClassIndex(-1, 2, 0, 0)
+
+
+class TestClassLabels:
+    def test_matches_combination_enumeration(self):
+        for n in range(1, 6):
+            labels, sizes = class_labels(n)
+            classes = enumerate_classes(n)
+            assert labels.shape == (2**n, 2**n)
+            assert np.array_equal(sizes, [b.arrangements for b in classes])
+            assert np.array_equal(np.bincount(labels.ravel(), minlength=len(classes)),
+                                  sizes)
+            expected = np.full((2**n, 2**n), -1)
+            for k, beta in enumerate(classes):
+                rows, cols = combination_entries(beta)
+                assert np.all(expected[rows, cols] == -1)
+                expected[rows, cols] = k
+            assert np.array_equal(labels, expected)
+
+    def test_cached_and_read_only(self):
+        labels, sizes = class_labels(3)
+        assert class_labels(3)[0] is labels
+        with pytest.raises(ValueError):
+            labels[0, 0] = 1
+        with pytest.raises(ValueError):
+            sizes[0] = 1
 
 
 class TestGammaBasis:
@@ -179,6 +255,57 @@ class TestGeneralSpectrum:
         h = build_network_hamiltonian(3, jz=0.4, hz=[0.1, 0.2, 0.3])
         with pytest.raises(ValueError):
             general_attractor_spectrum(h)
+
+
+class TestDenseStackAgreement:
+    """The label routes against the dense Gamma-stack formulas."""
+
+    HAMILTONIANS = (("ising", dict(j_z=0.4, h=0.1)), ("xx", dict(j_x=0.37, h=0.13)),
+                    ("tfi", dict(j_z=0.4, t=0.21)))
+
+    def test_spectrum_and_late_time_states(self):
+        for n in (2, 3, 4):
+            rho0 = make_initial_state(StateSpec(kind="haar_random_pure", seed=40 + n), n)
+            for family, kw in self.HAMILTONIANS:
+                h = build_hamiltonian(HamiltonianSpec(family=family, n=n, **kw))
+                spec = general_attractor_spectrum(h)
+                w, ops = dense_stack_spectrum(h)
+                assert match_multisets(w, spec.eigenvalues, 1e-12) <= 1e-12
+                coeffs = np.einsum("kij,ij->k", ops.conj(), rho0)
+                for steps in (0, 1, 100):
+                    dense = np.tensordot(np.exp(1j * np.angle(w) * steps) * coeffs,
+                                         ops, axes=(0, 0))
+                    assert np.linalg.norm(asymptotic_state(spec, rho0, steps)
+                                          - dense) <= 1e-12
+
+    def test_commutant_distance(self):
+        for n in (2, 3, 4):
+            gammas = dense_gamma_stack(n)
+            for seed in (1, 2):
+                rho = make_initial_state(StateSpec(kind="haar_random_pure", seed=seed), n)
+                proj = np.tensordot(np.einsum("kij,ij->k", gammas.conj(), rho), gammas,
+                                    axes=(0, 0))
+                assert abs(commutant_distance(rho) - np.linalg.norm(rho - proj)) <= 1e-12
+
+    def test_predicted_state_lies_in_the_span(self):
+        for n in (3, 4, 5):
+            h = build_hamiltonian(HamiltonianSpec(family="xx", n=n, j_x=0.37, h=0.13))
+            rho0 = make_initial_state(StateSpec(kind="haar_random_pure", seed=n), n)
+            late = asymptotic_state(general_attractor_spectrum(h), rho0, 1000)
+            assert commutant_distance(late) <= 1e-14
+
+    def test_memory_stays_below_one_gamma_stack(self):
+        n = 7
+        h = build_hamiltonian(HamiltonianSpec(family="xx", n=n, j_x=0.37, h=0.13))
+        rho0 = make_initial_state(StateSpec(kind="haar_random_pure", seed=7), n)
+        stack_bytes = comb(n + 3, 3) * 4**n * 16
+        tracemalloc.start()
+        try:
+            asymptotic_state(general_attractor_spectrum(h), rho0, 1000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < stack_bytes / 4
 
 
 class TestAsymptotics:

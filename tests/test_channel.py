@@ -252,6 +252,24 @@ class TestIterate:
         for n, s in a.snapshots.items():
             assert np.array_equal(s, kept[n])
 
+    def test_dense_stepper_matches_repeated_application(self):
+        # the dense stepper reuses two stack buffers; every returned state is
+        # bit-identical to apply_channel and owns its memory
+        h = build_network_hamiltonian(4, jx=0.4, jy=0.4, hz=[0.1, 0.13, 0.07, 0.1])
+        ch = build_channel(h)
+        assert ch.mode == "dense"
+        rho = haar_state(4, 13)
+        traj = iterate_channel(ch, rho, 40, record=("sx",), snapshot_stride=1)
+        direct = rho
+        for n in range(1, 41):
+            direct = apply_channel(ch, direct)
+            assert np.array_equal(traj.snapshots[n], direct)
+        assert np.array_equal(traj.final_state, direct)
+        arrays = list(traj.snapshots.values())
+        for i, x in enumerate(arrays):
+            for y in arrays[i + 1:]:
+                assert not np.shares_memory(x, y)
+
     def test_invariants_hold_over_long_run(self):
         ch = build_channel(ISING3)
         traj = iterate_channel(ch, haar_state(3, 11), 500,

@@ -95,6 +95,19 @@ class TestDynamicalSymmetries:
                 assert sym.residual_swap <= 1e-10
                 assert sym.degenerate == (abs(sym.omega) < 1e-9)
 
+    def test_commutator_residual_matches_dense_formula(self):
+        for h in (XX3, build_hamiltonian(HamiltonianSpec(family="tfi", n=4, j_z=0.4, t=0.2))):
+            for sym in find_dynamical_symmetries(h):
+                op = sym.operator
+                dense = float(np.max(np.abs(h @ op - op @ h - sym.omega * op)))
+                assert abs(sym.residual_h - dense) <= 1e-14
+
+    def test_rejects_vectors_that_are_not_eigenvectors(self):
+        # the sector of another Hamiltonian gives pairs with a large commutator
+        other = build_hamiltonian(HamiltonianSpec(family="tfi", n=3, j_z=0.4, t=0.2))
+        with pytest.raises(ValueError, match="commutator"):
+            find_dynamical_symmetries(XX3, symmetric_sector_basis(other))
+
     def test_channel_eigenoperator_property(self):
         for fam, kw in [("tfi", dict(j_z=0.4, t=0.1)),
                         ("xx", dict(j_x=0.4, h=0.1)),
