@@ -168,7 +168,7 @@ def criterion_03_attractor_count(quick: bool = False) -> CriterionResult:
     del quick
     counts = {n: len(enumerate_classes(n)) for n in (3, 6, 9)}
     expected = {n: comb(n + 3, 3) for n in (3, 6, 9)}
-    stack = np.stack([build_gamma(b).matrix for b in enumerate_classes(3)])
+    stack = np.stack([build_gamma(b) for b in enumerate_classes(3)])
     gram = np.tensordot(stack.conj(), stack, axes=[[1, 2], [1, 2]])
     ortho = float(np.max(np.abs(gram - np.eye(len(stack)))))
     ok = counts == expected and ortho <= 1e-10

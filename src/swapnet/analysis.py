@@ -6,13 +6,16 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .channel import SITE_OBSERVABLES
+
+PEAK_FRACTION = 0.05    # spectral peaks reach at least this share of the largest bin
+
 
 @dataclass
 class TimeSeries:
     """A real stroboscopic record, one value per channel application."""
 
     values: np.ndarray
-    stride: int = 1
     burn_in: int = 0
 
     def __post_init__(self):
@@ -33,7 +36,7 @@ def extract_site_series(traj, site: int, observable: str,
                         burn_in: int = 0) -> TimeSeries:
     """Pull one recorded per-site (or run-level) observable from a trajectory."""
     return TimeSeries(values=traj.series(observable, site=site)
-                      if observable in ("sx", "sy", "sz")
+                      if observable in SITE_OBSERVABLES
                       else traj.series(observable),
                       burn_in=burn_in)
 
@@ -71,16 +74,14 @@ def _largest_power_of_two(n: int) -> int:
     return 1 << (int(n).bit_length() - 1)
 
 
-def spectrum_of_series(ts: TimeSeries, burn_in: int | None = None,
-                       peak_fraction: float = 0.05) -> Spectrum:
+def spectrum_of_series(ts: TimeSeries) -> Spectrum:
     """Magnitude spectrum with local-maximum peak detection.
 
     The post-burn-in window is truncated to the largest power-of-two length.
-    Peaks are local maxima at or above peak_fraction times the global
+    Peaks are local maxima at or above PEAK_FRACTION times the global
     maximum; the DC bin is suppressed by mean subtraction.
     """
-    burn = ts.burn_in if burn_in is None else burn_in
-    data = ts.values[burn:]
+    data = ts.post_burn_in()
     if len(data) < 256:
         raise ValueError(f"need at least 256 post-burn-in samples, got {len(data)}")
     length = _largest_power_of_two(len(data))
@@ -97,7 +98,7 @@ def spectrum_of_series(ts: TimeSeries, burn_in: int | None = None,
 
     is_peak = np.zeros(n_bins, dtype=bool)
     if mags.max() > 0.0:
-        floor = peak_fraction * mags.max()
+        floor = PEAK_FRACTION * mags.max()
         for k in range(1, n_bins):
             left = mags[k] >= mags[k - 1]
             right = mags[k] >= mags[k + 1] if k + 1 < n_bins else True
@@ -111,7 +112,7 @@ def spectrum_of_series(ts: TimeSeries, burn_in: int | None = None,
     peaks = [(float(freqs[k]), float(mags[k])) for k in np.nonzero(is_peak)[0]]
     return Spectrum(frequencies=freqs, magnitudes=mags, peaks=peaks,
                     length=length, resolution=2.0 * np.pi / length,
-                    peak_fraction=peak_fraction, is_peak=is_peak)
+                    peak_fraction=PEAK_FRACTION, is_peak=is_peak)
 
 
 @dataclass
@@ -124,11 +125,9 @@ class DecayFit:
     n_extrema: int
 
 
-def fit_decay_envelope(ts: TimeSeries, burn_in: int | None = None,
-                       min_extrema: int = 20) -> DecayFit:
+def fit_decay_envelope(ts: TimeSeries, min_extrema: int = 20) -> DecayFit:
     """Fit log|envelope| to a line through successive oscillation extrema."""
-    burn = ts.burn_in if burn_in is None else burn_in
-    data = ts.values[burn:]
+    data = ts.post_burn_in()
     centered = np.abs(data - data.mean())
     if len(centered) < 3:
         raise ValueError("series too short for envelope extraction")

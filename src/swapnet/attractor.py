@@ -17,14 +17,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, factorial
+from math import comb
 
 import numpy as np
 
 from .core import (
     check_qubit_count,
     pair_list,
-    site_bits,
+    popcounts,
     sites_from_dim,
     swap_commutation_residual,
     swap_permutation,
@@ -95,9 +95,7 @@ def class_labels(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     position = np.empty((n_sites + 1,) * 3, dtype=np.intp)
     for k, beta in enumerate(classes):
         position[beta.b01, beta.b10, beta.b11] = k
-    popcount = np.zeros(2**n_sites, dtype=np.intp)
-    for site in range(n_sites):
-        popcount += site_bits(n_sites, site)
+    popcount = popcounts(n_sites)
     idx = np.arange(2**n_sites)
     b11 = popcount[idx[:, None] & idx[None, :]]
     labels = position[popcount[None, :] - b11, popcount[:, None] - b11, b11]
@@ -124,23 +122,13 @@ def _from_class_coordinates(coords: np.ndarray, n_sites: int) -> np.ndarray:
     return (coords / np.sqrt(sizes))[..., labels]
 
 
-@dataclass(frozen=True)
-class AttractorBasisElement:
-    """One orthonormal class operator Gamma_beta (unit Hilbert-Schmidt norm)."""
-
-    class_index: ClassIndex
-    matrix: np.ndarray
-    normalization: float  # C = 1/sqrt(N! b00! b01! b10! b11!)
-
-
-def build_gamma(beta: ClassIndex) -> AttractorBasisElement:
+def build_gamma(beta: ClassIndex) -> np.ndarray:
+    """The class operator Gamma_beta as a dense matrix (unit Hilbert-Schmidt norm)."""
     n = check_qubit_count(beta.n)
     labels, _ = class_labels(n)
     mat = np.zeros(labels.shape, dtype=complex)
     mat[labels == enumerate_classes(n).index(beta)] = 1.0 / np.sqrt(beta.arrangements)
-    c = 1.0 / np.sqrt(float(factorial(n)) * factorial(beta.b00) * factorial(beta.b01)
-                      * factorial(beta.b10) * factorial(beta.b11))
-    return AttractorBasisElement(class_index=beta, matrix=mat, normalization=c)
+    return mat
 
 
 def ising_energy(magnetization: float, n_sites: int, j_z: float, h: float) -> float:
@@ -224,8 +212,7 @@ def ising_attractor_spectrum(n_sites: int, j_z: float, h: float,
                              n_sites=n_sites)
 
 
-def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0,
-                               residual_tol: float = 1e-10) -> AttractorSpectrum:
+def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0) -> AttractorSpectrum:
     """Numeric spectrum for any uniform (permutation-symmetric) Hamiltonian.
 
     Restricts conjugation by U0 = e^{iH dt} to the class-operator span,
@@ -242,7 +229,7 @@ def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0,
     for m in range(n_sites):
         for n in range(m + 1, n_sites):
             r = swap_commutation_residual(H, m, n)
-            if r > residual_tol:
+            if r > 1e-10:
                 raise ValueError(
                     f"H does not commute with swap ({m},{n}): residual {r:.3e}")
 

@@ -19,6 +19,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .core import (
+    EIGENVALUE_FLOOR,
+    HERMITICITY_TOL,
+    TRACE_TOL,
     entropy_from_eigenvalues,
     magnetization_values,
     pair_list,
@@ -31,6 +34,8 @@ from .core import (
 
 COMMUTE_TOL = 1e-10
 UNITARY_TOL = 1e-11
+ENTROPY_FLOOR = -1e-10      # a unital channel never lowers entropy; roundoff only
+UNITALITY_TOL = 1e-12
 
 
 class ChannelInvariantError(RuntimeError):
@@ -131,8 +136,7 @@ def _polar_project(u: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
-def build_channel(H: np.ndarray, spec: ChannelSpec | None = None,
-                  validate: bool = True) -> Channel:
+def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
     """Compile the channel for a Hamiltonian.
 
     Uses the factorized partial-swap form when every pair commutes with H
@@ -142,7 +146,7 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None,
     n_sites = sites_from_dim(H.shape[0])
     dim = H.shape[0]
     herm_err = float(np.max(np.abs(H - H.conj().T)))
-    if herm_err > 1e-12:
+    if herm_err > HERMITICITY_TOL:
         raise ValueError(f"Hamiltonian not Hermitian, deviation {herm_err:.3e}")
     pairs, probs, kappas = spec.resolve(n_sites)
     # Compiled mixture weights renormalized to unit machine sum; a one-ulp
@@ -166,10 +170,9 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None,
         evals, vecs = np.linalg.eigh(H)
         u0 = _polar_project((vecs * np.exp(1j * evals * spec.dt)) @ vecs.conj().T)
 
-    if validate:
-        u_err = float(np.max(np.abs(u0 @ u0.conj().T - np.eye(dim))))
-        if u_err > UNITARY_TOL:
-            raise ValueError(f"U0 unitarity residual {u_err:.3e}")
+    u_err = float(np.max(np.abs(u0 @ u0.conj().T - np.eye(dim))))
+    if u_err > UNITARY_TOL:
+        raise ValueError(f"U0 unitarity residual {u_err:.3e}")
 
     if product_form:
         phase_mat = None
@@ -196,12 +199,11 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None,
             evals_k, vecs_k = np.linalg.eigh(hk)
             stack[k + 1] = _polar_project(
                 (vecs_k * np.exp(1j * evals_k * spec.dt)) @ vecs_k.conj().T)
-    if validate:
-        eye = np.eye(dim)
-        for k in range(stack.shape[0]):
-            u_err = float(np.max(np.abs(stack[k] @ stack[k].conj().T - eye)))
-            if u_err > UNITARY_TOL:
-                raise ValueError(f"unitary {k} residual {u_err:.3e}")
+    eye = np.eye(dim)
+    for k in range(stack.shape[0]):
+        u_err = float(np.max(np.abs(stack[k] @ stack[k].conj().T - eye)))
+        if u_err > UNITARY_TOL:
+            raise ValueError(f"unitary {k} residual {u_err:.3e}")
     ch = Channel(n=n_sites, dim=dim, spec=spec, pairs=pairs, probs=probs,
                  kappas=kappas, mode="dense", u0=u0, u0_phases=None,
                  unitary_stack=stack, weights=weights)
@@ -296,15 +298,14 @@ class InvariantReport:
         self.max_hermiticity_error = max(self.max_hermiticity_error, herm_err)
         self.min_eigenvalue = min(self.min_eigenvalue, min_eig)
 
-    def passed(self, trace_atol=1e-12, herm_atol=1e-12, eig_floor=-1e-10,
-               entropy_floor=-1e-10, unitality_atol=1e-12) -> bool:
-        ok = (self.max_trace_error <= trace_atol
-              and self.max_hermiticity_error <= herm_atol
-              and self.min_eigenvalue >= eig_floor)
+    def passed(self) -> bool:
+        ok = (self.max_trace_error <= TRACE_TOL
+              and self.max_hermiticity_error <= HERMITICITY_TOL
+              and self.min_eigenvalue >= EIGENVALUE_FLOOR)
         if np.isfinite(self.min_entropy_increment):
-            ok = ok and self.min_entropy_increment >= entropy_floor
+            ok = ok and self.min_entropy_increment >= ENTROPY_FLOOR
         if self.unitality_error is not None:
-            ok = ok and self.unitality_error <= unitality_atol
+            ok = ok and self.unitality_error <= UNITALITY_TOL
         return bool(ok)
 
     def summary(self) -> dict:
@@ -320,7 +321,9 @@ class InvariantReport:
         }
 
 
-OBSERVABLE_NAMES = ("sx", "sy", "sz", "loschmidt", "entropy", "total_mz")
+SITE_OBSERVABLES = ("sx", "sy", "sz")                  # recorded per site
+RUN_OBSERVABLES = ("loschmidt", "entropy", "total_mz")  # one value per step
+OBSERVABLE_NAMES = SITE_OBSERVABLES + RUN_OBSERVABLES
 
 
 @dataclass
@@ -338,7 +341,7 @@ class Trajectory:
         if name not in self.records:
             raise KeyError(f"observable {name!r} was not recorded")
         values = self.records[name]
-        if name in ("sx", "sy", "sz"):
+        if name in SITE_OBSERVABLES:
             if site is None:
                 raise ValueError(f"observable {name!r} needs a site")
             if site not in self.sites:
@@ -374,10 +377,10 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
 
     n_rec = steps + 1
     records: dict = {}
-    for name in ("sx", "sy", "sz"):
+    for name in SITE_OBSERVABLES:
         if name in record:
             records[name] = np.empty((n_rec, len(sites)))
-    for name in ("loschmidt", "entropy", "total_mz"):
+    for name in RUN_OBSERVABLES:
         if name in record:
             records[name] = np.empty(n_rec)
 
@@ -426,7 +429,7 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
                 sigma = apply_channel(ch, sigma)
                 rho = sigma
         for j, s in enumerate(sites):
-            for name, value in zip(("sx", "sy", "sz"), single_site_expectations(rho, s)):
+            for name, value in zip(SITE_OBSERVABLES, single_site_expectations(rho, s)):
                 if name in records:
                     records[name][n, j] = value
         if "loschmidt" in records:

@@ -24,7 +24,24 @@ PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 MAX_QUBITS = 12
 
-HAMILTONIAN_FAMILIES = ("ising", "tfi", "xx", "xyz", "general")
+# Coupling keys of build_network_hamiltonian that each family may set, in
+# disorder draw order; in the xx family jy shares jx.
+ACTIVE_COUPLINGS = {
+    "ising": ("jz", "hz"),
+    "tfi": ("jz", "hx"),
+    "xx": ("jx", "jy", "hz"),
+    "xyz": ("jx", "jy", "jz", "hz"),
+    "general": ("jx", "jy", "jz", "hz", "hx"),
+}
+HAMILTONIAN_FAMILIES = tuple(ACTIVE_COUPLINGS)
+# HamiltonianSpec field that holds each coupling key
+COUPLING_FIELDS = {"jx": "j_x", "jy": "j_y", "jz": "j_z", "hz": "h", "hx": "t"}
+
+# Tolerances of a density matrix: |Tr rho - 1|, max|rho - rho^dag| and the
+# floor on its smallest eigenvalue.
+TRACE_TOL = 1e-12
+HERMITICITY_TOL = 1e-12
+EIGENVALUE_FLOOR = -1e-10
 
 STATE_KINDS = (
     "haar_random_pure",
@@ -40,12 +57,12 @@ class DimensionCapError(ValueError):
     """Raised when a requested qubit count exceeds the dense-simulation cap."""
 
 
-def check_qubit_count(n_sites: int, cap: int = MAX_QUBITS) -> int:
+def check_qubit_count(n_sites: int) -> int:
     if not isinstance(n_sites, (int, np.integer)) or n_sites < 1:
         raise ValueError(f"qubit count must be a positive integer, got {n_sites!r}")
-    if n_sites > cap:
+    if n_sites > MAX_QUBITS:
         raise DimensionCapError(
-            f"{n_sites} qubits exceeds the dense cap of {cap} (dim 2^{cap})"
+            f"{n_sites} qubits exceeds the dense cap of {MAX_QUBITS} (dim 2^{MAX_QUBITS})"
         )
     return int(n_sites)
 
@@ -93,24 +110,32 @@ def site_bits(n_sites: int, site: int) -> np.ndarray:
     return (idx >> (n_sites - 1 - site)) & 1
 
 
+@lru_cache(maxsize=None)
+def popcounts(n_sites: int) -> np.ndarray:
+    """Number of 1 bits of every basis index (cached per size, read-only)."""
+    counts = np.zeros(2**n_sites, dtype=np.intp)
+    for site in range(n_sites):
+        counts += site_bits(n_sites, site)
+    counts.setflags(write=False)
+    return counts
+
+
 def magnetization_values(n_sites: int) -> np.ndarray:
     """M_i = (number of 0 bits) - (number of 1 bits) per basis index."""
-    m = np.full(2**n_sites, n_sites, dtype=np.int64)
-    for site in range(n_sites):
-        m -= 2 * site_bits(n_sites, site)
-    return m
+    return n_sites - 2 * popcounts(n_sites)
 
 
 @dataclass(frozen=True)
 class HamiltonianSpec:
     """Parameters of one fully connected network Hamiltonian.
 
-    Families and their active couplings:
+    Families and their active couplings (ACTIVE_COUPLINGS):
       ising:   H = J_z sum_<mn> z_m z_n + h sum_m z_m
       tfi:     H = J_z sum_<mn> z_m z_n + t sum_m x_m
       xx:      H = J_x sum_<mn> (x_m x_n + y_m y_n) + h sum_m z_m   (J_y = J_x)
       xyz:     H = sum_<mn> (J_x xx + J_y yy + J_z zz) + h sum_m z_m
       general: all five couplings active
+    An inactive coupling must be zero.
     """
 
     family: str
@@ -127,19 +152,11 @@ class HamiltonianSpec:
                 f"unknown family {self.family!r}, expected one of {HAMILTONIAN_FAMILIES}"
             )
         check_qubit_count(self.n)
-        for name in ("j_x", "j_y", "j_z", "h", "t"):
+        for key, name in COUPLING_FIELDS.items():
             v = getattr(self, name)
             if not np.isfinite(v):
                 raise ValueError(f"{name} must be finite, got {v!r}")
-        inactive = {
-            "ising": ("j_x", "j_y", "t"),
-            "tfi": ("j_x", "j_y", "h"),
-            "xx": ("t",),
-            "xyz": ("t",),
-            "general": (),
-        }[self.family]
-        for name in inactive:
-            if getattr(self, name) != 0.0:
+            if key not in ACTIVE_COUPLINGS[self.family] and v != 0.0:
                 raise ValueError(f"{name} is not active for family {self.family!r}")
         if self.family == "xx":
             if self.j_y == 0.0:
@@ -149,13 +166,7 @@ class HamiltonianSpec:
 
     def couplings(self) -> dict:
         """Coefficient map consumed by build_network_hamiltonian."""
-        return {
-            "jx": self.j_x,
-            "jy": self.j_y,
-            "jz": self.j_z,
-            "hz": self.h,
-            "hx": self.t,
-        }
+        return {key: getattr(self, name) for key, name in COUPLING_FIELDS.items()}
 
 
 def per_entry_values(value, size: int, name: str, unit: str) -> np.ndarray:
@@ -279,26 +290,18 @@ def purity(rho: np.ndarray) -> float:
     return float(np.real(np.vdot(rho, rho)))
 
 
-def density_matrix_checks(rho: np.ndarray) -> tuple[float, float, float]:
-    """(trace error, hermiticity error, min eigenvalue) of a candidate state."""
-    trace_err = abs(np.trace(rho) - 1.0)
-    herm_err = float(np.max(np.abs(rho - rho.conj().T)))
-    min_eig = float(np.linalg.eigvalsh(rho)[0].real)
-    return float(trace_err), herm_err, min_eig
-
-
-def validate_density_matrix(rho: np.ndarray, trace_atol: float = 1e-12,
-                            herm_atol: float = 1e-12,
-                            eig_floor: float = -1e-10,
-                            name: str = "rho") -> None:
+def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> None:
+    """Raise ValueError unless rho is a density matrix within the state tolerances."""
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"{name} must be a square matrix")
-    trace_err, herm_err, min_eig = density_matrix_checks(rho)
-    if trace_err > trace_atol:
+    trace_err = abs(np.trace(rho) - 1.0)
+    if trace_err > TRACE_TOL:
         raise ValueError(f"{name}: trace deviates from 1 by {trace_err:.3e}")
-    if herm_err > herm_atol:
+    herm_err = float(np.max(np.abs(rho - rho.conj().T)))
+    if herm_err > HERMITICITY_TOL:
         raise ValueError(f"{name}: not Hermitian, max deviation {herm_err:.3e}")
-    if min_eig < eig_floor:
+    min_eig = float(np.linalg.eigvalsh(rho)[0].real)
+    if min_eig < EIGENVALUE_FLOOR:
         raise ValueError(f"{name}: negative eigenvalue {min_eig:.3e}")
 
 

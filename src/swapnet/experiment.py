@@ -24,8 +24,19 @@ import numpy as np
 
 from . import __version__
 from .analysis import TimeSeries, spectrum_of_series
-from .channel import ChannelInvariantError, ChannelSpec, build_channel, iterate_channel, unitality_error
+from .channel import (
+    OBSERVABLE_NAMES,
+    RUN_OBSERVABLES,
+    SITE_OBSERVABLES,
+    ChannelInvariantError,
+    ChannelSpec,
+    build_channel,
+    iterate_channel,
+    unitality_error,
+)
 from .core import (
+    HAMILTONIAN_FAMILIES,
+    STATE_KINDS,
     HamiltonianSpec,
     StateSpec,
     build_hamiltonian,
@@ -33,8 +44,6 @@ from .core import (
     make_initial_state,
 )
 from .noise import DisorderSpec, build_disordered_hamiltonian, disordered_coefficients
-
-OBSERVABLES = ["sx", "sy", "sz", "loschmidt", "entropy", "total_mz"]
 
 CONFIG_SCHEMA = {
     "$schema": "https://json-schema.org/draft/2020-12/schema",
@@ -50,7 +59,7 @@ CONFIG_SCHEMA = {
             "required": ["family"],
             "additionalProperties": False,
             "properties": {
-                "family": {"enum": ["ising", "tfi", "xx", "xyz", "general"]},
+                "family": {"enum": list(HAMILTONIAN_FAMILIES)},
                 "j_x": {"type": "number"},
                 "j_y": {"type": "number"},
                 "j_z": {"type": "number"},
@@ -90,9 +99,7 @@ CONFIG_SCHEMA = {
             "required": ["kind"],
             "additionalProperties": False,
             "properties": {
-                "kind": {"enum": list(
-                    ("haar_random_pure", "plus_zero_product", "w_plus_superposition",
-                     "eigenpair_superposition", "maximally_mixed"))},
+                "kind": {"enum": [k for k in STATE_KINDS if k != "explicit_matrix"]},
                 "seed": {"type": "integer", "minimum": 0},
                 "pair": {"type": "array", "items": {"type": "integer", "minimum": 0},
                          "minItems": 2, "maxItems": 2},
@@ -100,10 +107,10 @@ CONFIG_SCHEMA = {
         },
         "steps": {"type": "integer", "minimum": 0},
         "burn_in": {"type": "integer", "minimum": 0},
-        "record": {"type": "array", "items": {"enum": OBSERVABLES}, "minItems": 1},
+        "record": {"type": "array", "items": {"enum": list(OBSERVABLE_NAMES)},
+                   "minItems": 1},
         "sites": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
         "spectrum_site": {"type": "integer", "minimum": 0},
-        "snapshot_stride": {"type": "integer", "minimum": 0},
         "output_dir": {"type": "string"},
         "seed": {"type": "integer", "minimum": 0},
     },
@@ -126,10 +133,9 @@ class ExperimentConfig:
     burn_in: int
     channel: dict = field(default_factory=dict)
     disorder: dict | None = None
-    record: tuple = tuple(OBSERVABLES)
+    record: tuple = OBSERVABLE_NAMES
     sites: tuple | None = None
     spectrum_site: int = 0
-    snapshot_stride: int = 0
     output_dir: str | None = None
     seed: int | None = None
 
@@ -160,7 +166,6 @@ class ExperimentConfig:
             "record": list(self.record),
             "sites": list(self.resolved_sites()),
             "spectrum_site": self.spectrum_site,
-            "snapshot_stride": self.snapshot_stride,
         }
         if self.disorder is not None:
             out["disorder"] = dict(self.disorder)
@@ -311,16 +316,15 @@ def _sha256(path: Path) -> str:
 
 
 def _series_csv(traj, sites, record) -> bytes:
-    lines = ["step,site,sx,sy,sz,loschmidt,entropy,total_mz"]
-    per_site = {name: traj.records.get(name) for name in ("sx", "sy", "sz")}
-    run_level = {name: traj.records.get(name)
-                 for name in ("loschmidt", "entropy", "total_mz")}
+    lines = [",".join(("step", "site") + OBSERVABLE_NAMES)]
+    per_site = {name: traj.records.get(name) for name in SITE_OBSERVABLES}
+    run_level = {name: traj.records.get(name) for name in RUN_OBSERVABLES}
     for n in range(len(traj.steps)):
         run_cells = [("" if run_level[name] is None else _fmt(run_level[name][n]))
-                     for name in ("loschmidt", "entropy", "total_mz")]
+                     for name in RUN_OBSERVABLES]
         for j, site in enumerate(sites):
             cells = [str(n), str(site)]
-            for name in ("sx", "sy", "sz"):
+            for name in SITE_OBSERVABLES:
                 col = per_site[name]
                 cells.append("" if col is None else _fmt(col[n, j]))
             cells.extend(run_cells)
@@ -412,7 +416,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunManifest:
     validate_stride = 1 if config.n <= 6 else 16
     traj = iterate_channel(ch, rho0, config.steps, record=config.record,
                            sites=config.resolved_sites(),
-                           snapshot_stride=config.snapshot_stride,
                            validate_stride=validate_stride)
     traj.invariants.unitality_error = unitality_error(ch)
 

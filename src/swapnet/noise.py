@@ -16,6 +16,7 @@ import numpy as np
 from .analysis import TimeSeries, fit_decay_envelope
 from .channel import ChannelSpec, build_channel, channel_superoperator, iterate_channel
 from .core import (
+    ACTIVE_COUPLINGS,
     HamiltonianSpec,
     StateSpec,
     build_hamiltonian,
@@ -30,10 +31,10 @@ class DisorderSpec:
     """Gaussian disorder on the active couplings of a base Hamiltonian.
 
     Each active bond coupling and site field receives an independent
-    standard-normal draw scaled by epsilon. Draw order is fixed (bond
-    components first, pair-lexicographic within each; then site fields), so a
-    seed pins the Hamiltonian bitwise. epsilon = 0 reproduces the base
-    exactly.
+    standard-normal draw scaled by epsilon. Draw order is fixed
+    (ACTIVE_COUPLINGS order: bond components first, pair-lexicographic
+    within each; then site fields), so a seed pins the Hamiltonian bitwise.
+    epsilon = 0 reproduces the base exactly.
     """
 
     base: HamiltonianSpec
@@ -50,38 +51,14 @@ def disordered_coefficients(spec: DisorderSpec) -> dict:
     base = spec.base
     n_pairs = len(pair_list(base.n))
     rng = np.random.default_rng(spec.seed)
-    eps = spec.epsilon
     coeffs = base.couplings()
     out = {}
-
-    def bond(value):
-        return value + eps * rng.standard_normal(n_pairs)
-
-    def site(value):
-        return value + eps * rng.standard_normal(base.n)
-
-    if base.family == "ising":
-        out["jz"] = bond(coeffs["jz"])
-        out["hz"] = site(coeffs["hz"])
-    elif base.family == "tfi":
-        out["jz"] = bond(coeffs["jz"])
-        out["hx"] = site(coeffs["hx"])
-    elif base.family == "xx":
-        shared = bond(coeffs["jx"])  # one draw per bond, applied to both axes
-        out["jx"] = shared
-        out["jy"] = shared.copy()
-        out["hz"] = site(coeffs["hz"])
-    elif base.family == "xyz":
-        out["jx"] = bond(coeffs["jx"])
-        out["jy"] = bond(coeffs["jy"])
-        out["jz"] = bond(coeffs["jz"])
-        out["hz"] = site(coeffs["hz"])
-    else:  # general
-        out["jx"] = bond(coeffs["jx"])
-        out["jy"] = bond(coeffs["jy"])
-        out["jz"] = bond(coeffs["jz"])
-        out["hz"] = site(coeffs["hz"])
-        out["hx"] = site(coeffs["hx"])
+    for key in ACTIVE_COUPLINGS[base.family]:
+        if base.family == "xx" and key == "jy":
+            out["jy"] = out["jx"].copy()  # one draw per bond, applied to both axes
+            continue
+        size = n_pairs if key.startswith("j") else base.n
+        out[key] = coeffs[key] + spec.epsilon * rng.standard_normal(size)
     return out
 
 
@@ -122,7 +99,7 @@ def first_order_eigenvalue_shift(sym, h_prime: np.ndarray,
     order.
     """
     spec = spec or ChannelSpec()
-    dim = sym.operator.shape[0]
+    dim = sym.vec_a.shape[0]
     mode = sym.operator / dim                       # A rho_st with rho_st = I/dim
     mode_norm_sq = float(np.real(np.vdot(mode, mode)))
     eta = mode / mode_norm_sq

@@ -17,7 +17,7 @@ from math import comb
 import numpy as np
 
 from .channel import Channel, apply_channel
-from .core import pair_list, pure_state_density, sites_from_dim, swap_permutation
+from .core import pair_list, popcounts, pure_state_density, sites_from_dim, swap_permutation
 
 BLOCK_TOL = 1e-10
 CONDITION_TOL = 1e-10
@@ -37,7 +37,6 @@ class SymmetricSectorBasis:
 
     n: int
     basis: np.ndarray
-    sector_hamiltonian: np.ndarray
     energies: np.ndarray
     vectors: np.ndarray
     full_indices: np.ndarray
@@ -63,16 +62,13 @@ def symmetric_subspace(n_sites: int) -> np.ndarray:
     """Orthonormal occupation-number basis of the exchange-symmetric sector."""
     dim = 2**n_sites
     basis = np.zeros((dim, n_sites + 1), dtype=complex)
-    for idx in range(dim):
-        k = bin(idx).count("1")
-        basis[idx, k] = 1.0
+    basis[np.arange(dim), popcounts(n_sites)] = 1.0
     for k in range(n_sites + 1):
         basis[:, k] /= np.sqrt(comb(n_sites, k))
     return basis
 
 
-def symmetric_sector_basis(H: np.ndarray,
-                           block_tol: float = BLOCK_TOL) -> SymmetricSectorBasis:
+def symmetric_sector_basis(H: np.ndarray) -> SymmetricSectorBasis:
     """Project H onto the symmetric sector and diagonalize there.
 
     Equivalent to intersecting the +1 eigenspaces of every pair swap and
@@ -82,7 +78,7 @@ def symmetric_sector_basis(H: np.ndarray,
     basis = symmetric_subspace(n_sites)
     hb = H @ basis
     residual = float(np.max(np.abs(hb - basis @ (basis.conj().T @ hb))))
-    if residual > block_tol:
+    if residual > BLOCK_TOL:
         raise ValueError(
             f"Hamiltonian does not preserve the symmetric sector: {residual:.3e}")
 
@@ -101,17 +97,18 @@ def symmetric_sector_basis(H: np.ndarray,
         full_indices[k] = candidates[0]
         taken[candidates[0]] = True
 
-    return SymmetricSectorBasis(n=n_sites, basis=basis, sector_hamiltonian=sec_h,
-                                energies=energies, vectors=vectors,
-                                full_indices=full_indices,
+    return SymmetricSectorBasis(n=n_sites, basis=basis, energies=energies,
+                                vectors=vectors, full_indices=full_indices,
                                 block_residual=residual)
 
 
 @dataclass
 class DynamicalSymmetry:
-    """A = |E_a><E_b| with [H, A] = omega A and [SW_mn, A] = 0 for all pairs."""
+    """A = |E_a><E_b| with [H, A] = omega A and [SW_mn, A] = 0 for all pairs.
 
-    operator: np.ndarray
+    Held as the two sector eigenvectors; `operator` forms A on each access.
+    """
+
     omega: float
     a: int
     b: int
@@ -122,15 +119,24 @@ class DynamicalSymmetry:
     residual_swap: float
     degenerate: bool
 
+    @property
+    def operator(self) -> np.ndarray:
+        return np.outer(self.vec_a, self.vec_b.conj())
 
-def find_dynamical_symmetries(H: np.ndarray,
-                              sector: SymmetricSectorBasis | None = None,
-                              condition_tol: float = CONDITION_TOL) -> list[DynamicalSymmetry]:
-    """All ordered sector eigenpairs (a != b) as validated symmetries."""
+
+def find_dynamical_symmetries(
+        H: np.ndarray, sector: SymmetricSectorBasis | None = None) -> list[DynamicalSymmetry]:
+    """All ordered sector eigenpairs (a != b) as validated symmetries.
+
+    residual_h is max|HA - AH - omega A|. residual_swap bounds
+    max_mn max|SW_mn A - A SW_mn| from above: with sw_k the largest swap
+    residual max|v_k[perm] - v_k| of sector vector k, the entries of
+    SW A - A SW are (v_a[perm] - v_a) v_b^dag + v_a (v_b - v_b[perm])^dag,
+    so the bound is sw_a |v_b|_inf + |v_a|_inf sw_b.
+    """
     if sector is None:
         sector = symmetric_sector_basis(H)
     n_sites = sector.n
-    perms = [swap_permutation(n_sites, m, n) for m, n in pair_list(n_sites)]
     # For A = |a><b|: HA - AH - omega A
     #   = (H v_a - E_a v_a) v_b^dag - v_a (v_b^dag H - E_b v_b^dag),
     # so H V and V^dag H, taken once, give every pair's commutator.
@@ -138,26 +144,27 @@ def find_dynamical_symmetries(H: np.ndarray,
     vecs_dag = vecs.conj().T
     h_left = H @ vecs - vecs * energies
     h_right = vecs_dag @ H - energies[:, None] * vecs_dag
+    swap_res = np.zeros(sector.dimension)
+    for m, n in pair_list(n_sites):
+        perm = swap_permutation(n_sites, m, n)
+        swap_res = np.maximum(swap_res, np.max(np.abs(vecs[perm] - vecs), axis=0))
+    sup = np.max(np.abs(vecs), axis=0)
     out = []
     for a in range(sector.dimension):
         for b in range(sector.dimension):
             if a == b:
                 continue
             va = vecs[:, a]
-            vb = vecs[:, b]
-            op = np.outer(va, vecs_dag[b])
             omega = float(energies[a] - energies[b])
             res_h = float(np.max(np.abs(np.outer(h_left[:, a], vecs_dag[b])
                                         - np.outer(va, h_right[b]))))
-            res_sw = 0.0
-            for perm in perms:
-                res_sw = max(res_sw, float(np.max(np.abs(op[perm, :] - op[:, perm]))))
-            if res_h > condition_tol or res_sw > condition_tol:
+            res_sw = float(swap_res[a] * sup[b] + sup[a] * swap_res[b])
+            if res_h > CONDITION_TOL or res_sw > CONDITION_TOL:
                 raise ValueError(
                     f"sector pair ({a},{b}) violates the symmetry conditions: "
                     f"commutator {res_h:.3e}, swap {res_sw:.3e}")
             out.append(DynamicalSymmetry(
-                operator=op, omega=omega, a=a, b=b, vec_a=va, vec_b=vb,
+                omega=omega, a=a, b=b, vec_a=va, vec_b=vecs[:, b],
                 hamiltonian=H, residual_h=res_h, residual_swap=res_sw,
                 degenerate=abs(omega) < DEGENERATE_OMEGA))
     return out

@@ -154,32 +154,32 @@ class TestClassLabels:
 class TestGammaBasis:
     def test_all_zero_class_is_ground_projector(self):
         for n in (2, 3):
-            mat = build_gamma(ClassIndex(n, 0, 0, 0)).matrix
+            mat = build_gamma(ClassIndex(n, 0, 0, 0))
             expected = np.zeros((2**n, 2**n), dtype=complex)
             expected[0, 0] = 1.0
             assert np.array_equal(mat, expected)
 
     def test_explicit_two_qubit_element(self):
-        mat = build_gamma(ClassIndex(1, 1, 0, 0)).matrix
+        mat = build_gamma(ClassIndex(1, 1, 0, 0))
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 1] = expected[0, 2] = 1 / np.sqrt(2)
         assert np.allclose(mat, expected)
 
     def test_orthonormal(self):
         for n in (2, 3):
-            stack = np.stack([build_gamma(b).matrix for b in enumerate_classes(n)])
+            stack = np.stack([build_gamma(b) for b in enumerate_classes(n)])
             gram = np.einsum("aij,bij->ab", stack.conj(), stack)
             assert np.max(np.abs(gram - np.eye(len(stack)))) <= 1e-10
 
     def test_reduction_matches_dense_partial_trace(self):
         # tracing any site maps a class operator to a 2-term combination
         for beta in enumerate_classes(3):
-            dense = partial_trace(build_gamma(beta).matrix, [0])
+            dense = partial_trace(build_gamma(beta), [0])
             combo = np.zeros((4, 4), dtype=complex)
             for w, smaller in reduce_gamma(beta):
-                combo += w * build_gamma(smaller).matrix
+                combo += w * build_gamma(smaller)
             assert np.allclose(dense, combo, atol=1e-12)
-            assert np.allclose(dense, partial_trace(build_gamma(beta).matrix, [2]),
+            assert np.allclose(dense, partial_trace(build_gamma(beta), [2]),
                                atol=1e-12)
 
     def test_reduction_empty_for_offdiagonal_columns(self):

@@ -18,6 +18,7 @@ from swapnet.core import (
     make_initial_state,
     pair_list,
     partial_trace,
+    popcounts,
     purity,
     single_site_expectations,
     swap_commutation_residual,
@@ -73,6 +74,8 @@ class TestHamiltonians:
             HamiltonianSpec(family="ising", n=3, j_z=0.4, t=0.5)
         with pytest.raises(ValueError):
             HamiltonianSpec(family="tfi", n=3, j_z=0.4, h=0.1)
+        with pytest.raises(ValueError, match="j_z is not active"):
+            HamiltonianSpec(family="xx", n=3, j_x=0.4, j_z=0.2)
         with pytest.raises(ValueError):
             HamiltonianSpec(family="bogus", n=3)
 
@@ -364,6 +367,13 @@ class TestObservables:
         assert np.array_equal(magnetization_values(2), [2, 0, 0, -2])
         assert magnetization_values(3)[0] == 3
         assert magnetization_values(3)[-1] == -3
+
+    def test_popcounts_match_bin_count(self):
+        for n in range(1, 9):
+            counts = popcounts(n)
+            assert counts.tolist() == [bin(i).count("1") for i in range(2**n)]
+            assert popcounts(n) is counts
+            assert not counts.flags.writeable
 
     def test_site_out_of_range(self):
         rho = np.eye(4, dtype=complex) / 4

@@ -209,6 +209,15 @@ class TestCli:
         path.write_text("{not json")
         assert main(["run", "--config", str(path)]) == 2
 
+    def test_snapshot_stride_rejected(self, tmp_path, capsys):
+        # run_experiment writes no snapshots, so the key is not part of a config
+        with pytest.raises(ConfigError, match="snapshot_stride"):
+            ExperimentConfig.from_dict(tiny_config(snapshot_stride=1))
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(tiny_config(snapshot_stride=1)))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_n_override_rejected_for_config_runs(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(tiny_config()))

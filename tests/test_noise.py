@@ -56,6 +56,46 @@ class TestDisorderDraws:
         out = disordered_coefficients(DisorderSpec(base=tfi, epsilon=0.1, seed=3))
         assert set(out) == {"jz", "hx"}
 
+    def test_draws_match_family_branches(self):
+        def branches(spec):
+            # one branch per family, in the draw order of the original code
+            base, eps = spec.base, spec.epsilon
+            n_pairs = len(pair_list(base.n))
+            rng = np.random.default_rng(spec.seed)
+            c = base.couplings()
+
+            def bond(value):
+                return value + eps * rng.standard_normal(n_pairs)
+
+            def site(value):
+                return value + eps * rng.standard_normal(base.n)
+
+            if base.family == "ising":
+                return {"jz": bond(c["jz"]), "hz": site(c["hz"])}
+            if base.family == "tfi":
+                return {"jz": bond(c["jz"]), "hx": site(c["hx"])}
+            if base.family == "xx":
+                shared = bond(c["jx"])
+                return {"jx": shared, "jy": shared.copy(), "hz": site(c["hz"])}
+            if base.family == "xyz":
+                return {"jx": bond(c["jx"]), "jy": bond(c["jy"]), "jz": bond(c["jz"]),
+                        "hz": site(c["hz"])}
+            return {"jx": bond(c["jx"]), "jy": bond(c["jy"]), "jz": bond(c["jz"]),
+                    "hz": site(c["hz"]), "hx": site(c["hx"])}
+
+        bases = {"ising": dict(j_z=0.4, h=0.1), "tfi": dict(j_z=0.4, t=0.2),
+                 "xx": dict(j_x=0.4, h=1.0), "xyz": dict(j_x=0.1, j_y=0.2, j_z=0.3, h=0.1),
+                 "general": dict(j_x=0.1, j_y=0.2, j_z=0.3, h=0.1, t=0.05)}
+        for fam, kw in bases.items():
+            for n in (2, 4, 6):
+                for seed in range(5):
+                    spec = DisorderSpec(base=HamiltonianSpec(family=fam, n=n, **kw),
+                                        epsilon=0.1, seed=seed)
+                    got, expected = disordered_coefficients(spec), branches(spec)
+                    assert list(got) == list(expected)
+                    for key in expected:
+                        assert np.array_equal(got[key], expected[key])
+
     def test_negative_epsilon_rejected(self):
         with pytest.raises(ValueError):
             DisorderSpec(base=XX3, epsilon=-0.1, seed=1)

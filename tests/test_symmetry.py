@@ -1,3 +1,6 @@
+import tracemalloc
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -8,9 +11,14 @@ from swapnet.core import (
     build_hamiltonian,
     build_network_hamiltonian,
     local_operator,
+    pair_list,
     purity,
+    swap_permutation,
 )
 from swapnet.symmetry import (
+    CONDITION_TOL,
+    DynamicalSymmetry,
+    SymmetricSectorBasis,
     clean_tc_state,
     find_dynamical_symmetries,
     predict_observable_series,
@@ -108,6 +116,43 @@ class TestDynamicalSymmetries:
         with pytest.raises(ValueError, match="commutator"):
             find_dynamical_symmetries(XX3, symmetric_sector_basis(other))
 
+    def test_rejects_vectors_that_are_not_swap_invariant(self):
+        # basis states 1 and 3 are eigenvectors of a diagonal H but change
+        # under swaps; the commutator residual stays zero
+        h = build_hamiltonian(HamiltonianSpec(family="ising", n=3, j_z=0.4, h=0.1))
+        picked = [0, 1, 3, 7]
+        sector = SymmetricSectorBasis(
+            n=3, basis=np.eye(8, dtype=complex)[:, picked],
+            energies=np.diag(h).real[picked], vectors=np.eye(8, dtype=complex)[:, picked],
+            full_indices=np.arange(4), block_residual=0.0)
+        with pytest.raises(ValueError, match=r"commutator 0\.000e\+00, swap"):
+            find_dynamical_symmetries(h, sector)
+
+    def test_swap_residual_bounds_dense_commutator(self):
+        h = build_hamiltonian(HamiltonianSpec(family="tfi", n=4, j_z=0.4, t=0.2))
+        sector = symmetric_sector_basis(h)
+        rng = np.random.default_rng(3)
+        noise = rng.standard_normal(sector.vectors.shape) + 1j * rng.standard_normal(
+            sector.vectors.shape)
+        sector = replace(sector, vectors=sector.vectors + 1e-12 * noise)
+        perms = [swap_permutation(4, m, n) for m, n in pair_list(4)]
+        for sym in find_dynamical_symmetries(h, sector):
+            op = sym.operator
+            dense = max(float(np.max(np.abs(op[p, :] - op[:, p]))) for p in perms)
+            assert 0.0 < dense <= sym.residual_swap <= CONDITION_TOL
+
+    def test_search_memory_stays_below_four_dense_operators(self):
+        h = build_hamiltonian(HamiltonianSpec(family="xx", n=8, j_x=0.4, h=0.1))
+        sector = symmetric_sector_basis(h)
+        tracemalloc.start()
+        try:
+            syms = find_dynamical_symmetries(h, sector)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(syms) == 9 * 8
+        assert peak < 4 * h.nbytes
+
     def test_channel_eigenoperator_property(self):
         for fam, kw in [("tfi", dict(j_z=0.4, t=0.1)),
                         ("xx", dict(j_x=0.4, h=0.1)),
@@ -194,14 +239,11 @@ class TestPrediction:
                                local_operator(PAULI_X, 0, 3))
 
     def test_fake_symmetry_rejected_by_channel(self):
-        # a local operator is not an eigenoperator; the residual is order one
-        from swapnet.symmetry import DynamicalSymmetry
-        dim = 8
-        op = local_operator(PAULI_X, 0, 3).astype(complex)
-        v = np.zeros(dim, dtype=complex)
-        v[0] = 1.0
-        fake = DynamicalSymmetry(operator=op, omega=0.3, a=0, b=1,
-                                 vec_a=v, vec_b=v, hamiltonian=XX3,
+        # |000><001| is neither swap-invariant nor an eigenoperator at this
+        # omega; the residual is order one
+        basis = np.eye(8, dtype=complex)
+        fake = DynamicalSymmetry(omega=0.3, a=0, b=1,
+                                 vec_a=basis[0], vec_b=basis[1], hamiltonian=XX3,
                                  residual_h=0.0, residual_swap=0.0,
                                  degenerate=False)
         ch = build_channel(XX3)
