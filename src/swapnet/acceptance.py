@@ -12,6 +12,7 @@ CriterionResult; run_all prints one PASS/FAIL line per criterion.
 from __future__ import annotations
 
 import tempfile
+import time
 from dataclasses import dataclass
 from math import comb
 from pathlib import Path
@@ -463,10 +464,12 @@ CRITERIA = (
 
 
 def run_all(quick: bool = False, stream=None) -> list:
-    """Run all criteria in order, printing one line each."""
+    """Run all criteria in order, printing one line each with its wall time."""
     results = []
     for fn in CRITERIA:
+        t0 = time.perf_counter()
         result = fn(quick=quick)
-        print(result.line(), file=stream, flush=True)
+        seconds = time.perf_counter() - t0
+        print(f"{result.line()}  [{seconds:.1f} s]", file=stream, flush=True)
         results.append(result)
     return results

@@ -10,6 +10,11 @@ cos(kappa dt) I + i sin(kappa dt) SW_mn, and the conjugation reduces to
 exchanging the tensor axes of sites m and n; otherwise the pair unitary comes
 from a full Hermitian eigendecomposition. Both paths accumulate the mixture in
 fixed pair order, so iterated runs are bitwise reproducible.
+
+When H conserves total magnetization (core.charge_sectors), U0 and every U_mn
+are block-diagonal over the popcount sectors: they are built from one
+eigendecomposition per sector, the rotating frame is synthesized per sector,
+and the dense stepper works only on the sectors the start occupies.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ from .core import (
     EIGENVALUE_FLOOR,
     HERMITICITY_TOL,
     TRACE_TOL,
+    charge_sectors,
     entropy_from_eigenvalues,
     magnetization_values,
     pair_list,
@@ -110,10 +116,12 @@ class Channel:
     mode: str                       # "product" or "dense"
     u0: np.ndarray                  # dense U0 (product mode, non-diagonal H)
     u0_phases: np.ndarray | None    # U0 diagonal phases when H is diagonal
+    sectors: tuple | None = field(default=None, repr=False)  # core.charge_sectors(H)
     unitary_stack: np.ndarray | None = field(default=None, repr=False)
     weights: np.ndarray | None = field(default=None, repr=False)
-    u0_evals: np.ndarray | None = field(default=None, repr=False)
-    u0_vecs: np.ndarray | None = field(default=None, repr=False)
+    # (eigenvalues, eigenvectors) of H per sector, or one pair when sectors is
+    # None; product mode with a non-diagonal H only
+    u0_eigen: tuple | None = field(default=None, repr=False)
     _phase_mat: np.ndarray | None = field(default=None, repr=False)
     _stack_dag: np.ndarray | None = field(default=None, repr=False)
 
@@ -136,11 +144,25 @@ def _polar_project(u: np.ndarray) -> np.ndarray:
     return w @ vh
 
 
+def _blockwise_exp(h: np.ndarray, blocks, dt: float):
+    """e^{i h dt} from one eigh per diagonal block of h (index arrays), with
+    exact zeros off the blocks; returns it and the (evals, vecs) per block."""
+    u = np.zeros(h.shape, dtype=complex)
+    eigen = []
+    for idx in blocks:
+        block = np.ix_(idx, idx)
+        evals, vecs = np.linalg.eigh(h[block])
+        u[block] = _polar_project((vecs * np.exp(1j * evals * dt)) @ vecs.conj().T)
+        eigen.append((evals, vecs))
+    return u, tuple(eigen)
+
+
 def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
     """Compile the channel for a Hamiltonian.
 
     Uses the factorized partial-swap form when every pair commutes with H
-    (residual <= 1e-10), otherwise dense eigendecomposition per pair.
+    (residual <= 1e-10), otherwise dense eigendecomposition per pair. Every
+    eigendecomposition runs per charge sector when H has them.
     """
     spec = spec or ChannelSpec()
     n_sites = sites_from_dim(H.shape[0])
@@ -160,15 +182,16 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
                  for k, (m, n) in enumerate(pairs)]
     product_form = all(r <= COMMUTE_TOL for r in residuals)
 
+    sectors = charge_sectors(H)
+    blocks = sectors or (np.arange(dim),)
     diag_h = float(np.max(np.abs(H - np.diag(np.diag(H))))) <= 1e-14
-    evals = vecs = None
+    u0_eigen = None
     if diag_h:
         u0_phases = np.exp(1j * np.diag(H).real * spec.dt)
         u0 = np.diag(u0_phases)
     else:
         u0_phases = None
-        evals, vecs = np.linalg.eigh(H)
-        u0 = _polar_project((vecs * np.exp(1j * evals * spec.dt)) @ vecs.conj().T)
+        u0, u0_eigen = _blockwise_exp(H, blocks, spec.dt)
 
     u_err = float(np.max(np.abs(u0 @ u0.conj().T - np.eye(dim))))
     if u_err > UNITARY_TOL:
@@ -180,8 +203,8 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
             phase_mat = np.outer(u0_phases, u0_phases.conj())
         return Channel(n=n_sites, dim=dim, spec=spec, pairs=pairs, probs=probs,
                        kappas=kappas, mode="product", u0=u0,
-                       u0_phases=u0_phases, weights=weights,
-                       u0_evals=evals, u0_vecs=vecs, _phase_mat=phase_mat)
+                       u0_phases=u0_phases, sectors=sectors, weights=weights,
+                       u0_eigen=u0_eigen, _phase_mat=phase_mat)
 
     # Dense unitaries for every mixture member (non-commuting pairs).
     stack = np.empty((len(pairs) + 1, dim, dim), dtype=complex)
@@ -193,12 +216,11 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
             stack[k + 1] = np.cos(theta) * u0 + 1j * np.sin(theta) * u0[:, perm]
         else:
             # H + kappa SW without forming SW; adding kappa * 0 first gives
-            # the zero entries the same signs as the dense sum.
+            # the same zero entries the dense sum would; SW_mn keeps popcount,
+            # so hk has H's sectors.
             hk = H + kappas[k] * 0.0
             hk[perm, np.arange(dim)] += kappas[k]
-            evals_k, vecs_k = np.linalg.eigh(hk)
-            stack[k + 1] = _polar_project(
-                (vecs_k * np.exp(1j * evals_k * spec.dt)) @ vecs_k.conj().T)
+            stack[k + 1], _ = _blockwise_exp(hk, blocks, spec.dt)
     eye = np.eye(dim)
     for k in range(stack.shape[0]):
         u_err = float(np.max(np.abs(stack[k] @ stack[k].conj().T - eye)))
@@ -206,8 +228,9 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
             raise ValueError(f"unitary {k} residual {u_err:.3e}")
     ch = Channel(n=n_sites, dim=dim, spec=spec, pairs=pairs, probs=probs,
                  kappas=kappas, mode="dense", u0=u0, u0_phases=None,
-                 unitary_stack=stack, weights=weights)
-    ch._stack_dag = stack.conj().transpose(0, 2, 1).copy()
+                 sectors=sectors, unitary_stack=stack, weights=weights)
+    ch._stack_dag = stack.transpose(0, 2, 1).copy()
+    np.conjugate(ch._stack_dag, out=ch._stack_dag)   # one stack-sized allocation
     return ch
 
 
@@ -243,14 +266,60 @@ def _mix_product(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return inner
 
 
-def _apply_dense(ch: Channel, rho: np.ndarray, left: np.ndarray,
-                 terms: np.ndarray) -> np.ndarray:
+def _apply_dense(stack: np.ndarray, stack_dag: np.ndarray, weights: np.ndarray,
+                 rho: np.ndarray, left: np.ndarray, terms: np.ndarray) -> np.ndarray:
     """sum_k w_k U_k rho U_k^dag, forming the weighted members in two
-    unitary-stack-shaped buffers; the returned sum is a fresh array."""
-    np.matmul(ch.unitary_stack, rho, out=left)
-    left *= ch.weights[:, None, None]
-    np.matmul(left, ch._stack_dag, out=terms)
+    stack-shaped buffers; the returned sum is a fresh array."""
+    np.matmul(stack, rho, out=left)
+    left *= weights[:, None, None]
+    np.matmul(left, stack_dag, out=terms)
     return terms.sum(axis=0)
+
+
+def _occupied_support(sectors, rho: np.ndarray) -> np.ndarray | None:
+    """Ascending indices of the sectors in which rho has a nonzero entry, or
+    None when that is every index (or there are no sectors). Exact test."""
+    if sectors is None:
+        return None
+    occupied = [idx for idx in sectors if np.any(rho[idx]) or np.any(rho[:, idx])]
+    if len(occupied) == len(sectors):
+        return None
+    return np.sort(np.concatenate(occupied))
+
+
+class _RotatingFrame:
+    """U0^n sigma U0^-n, synthesized per record from H's eigenpairs.
+
+    Phases are reduced mod 2 pi before exponentiation. The state is gathered
+    into sector order, where U0^n is block-diagonal: each sector's rotation is
+    formed on its own and applied to its rows, then to its columns,
+    O(dim sum_k d_k^2) instead of O(dim^3). Without sectors the one block is
+    every index.
+    """
+
+    def __init__(self, ch: Channel):
+        blocks = ch.sectors or (np.arange(ch.dim),)
+        self.left = np.empty((ch.dim, ch.dim), dtype=complex)
+        self.angles = np.concatenate([evals for evals, _ in ch.u0_eigen]) * ch.spec.dt
+        self.vecs = [(vecs, vecs.conj().T.copy()) for _, vecs in ch.u0_eigen]
+        order = np.concatenate(blocks)
+        self.to_sectors = np.ix_(order, order)
+        back = np.argsort(order)
+        self.from_sectors = np.ix_(back, back)
+        ends = np.cumsum([len(idx) for idx in blocks])
+        self.slices = [slice(end - len(idx), end) for idx, end in zip(blocks, ends)]
+
+    def __call__(self, n: int, sigma: np.ndarray) -> np.ndarray:
+        phases = np.exp(1j * np.mod(n * self.angles, 2.0 * np.pi))
+        left = self.left
+        ordered = sigma[self.to_sectors]
+        rots = []
+        for block, (vecs, vecs_dag) in zip(self.slices, self.vecs):
+            rots.append((vecs * phases[block]) @ vecs_dag)
+            np.matmul(rots[-1], ordered[block], out=left[block])
+        for block, rot in zip(self.slices, rots):
+            np.matmul(left[:, block], rot.conj().T, out=ordered[:, block])
+        return ordered[self.from_sectors]
 
 
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
@@ -259,7 +328,8 @@ def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
         raise ValueError(f"operand shape {rho.shape} does not match dim {ch.dim}")
 
     if ch.mode == "dense":
-        return _apply_dense(ch, rho, np.empty_like(ch.unitary_stack),
+        return _apply_dense(ch.unitary_stack, ch._stack_dag, ch.weights, rho,
+                            np.empty_like(ch.unitary_stack),
                             np.empty_like(ch.unitary_stack))
 
     inner = _mix_product(ch, rho)
@@ -391,39 +461,48 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
 
     # Product channels with a non-diagonal U0 iterate in the rotating frame:
     # only the partial-swap mixer touches the state, and the U0^n rotation is
-    # synthesized per record in two reused buffers. Dense-sandwich roundoff then
-    # shows up in the recorded view, not in the iterated state, so invariants
-    # hold to machine precision over arbitrarily long runs. Trace, Hermiticity,
-    # spectrum and entropy are frame-independent and are checked on the state.
+    # synthesized per record. Dense-sandwich roundoff then shows up in the
+    # recorded view, not in the iterated state, so invariants hold to machine
+    # precision over arbitrarily long runs. Trace, Hermiticity, spectrum and
+    # entropy are frame-independent and are checked on the state.
     rotating = ch.mode == "product" and ch._phase_mat is None
     if rotating:
-        vecs = ch.u0_vecs
-        vecs_dag = vecs.conj().T.copy()
-        angles = ch.u0_evals * ch.spec.dt
-        two_pi = 2.0 * np.pi
-        rot, left = np.empty_like(vecs), np.empty_like(vecs)
-
-    # Dense channels form their mixture members in two buffers allocated once.
-    dense = ch.mode == "dense"
-    if dense:
-        left_stack = np.empty_like(ch.unitary_stack)
-        term_stack = np.empty_like(ch.unitary_stack)
+        frame = _RotatingFrame(ch)
 
     sigma = np.array(rho0, dtype=complex)
     rho = sigma
     rho0_conj = sigma.conj().copy()
     prev_entropy = None
 
+    # Dense channels step only the block of the sectors the start occupies
+    # (every member is block-diagonal, so the rest stays exactly zero) and
+    # form their mixture members in two buffers allocated once. With a partial
+    # support the step is written into sigma's block, so records and checks
+    # read one reused full-size state.
+    dense = ch.mode == "dense"
+    if dense:
+        support = _occupied_support(ch.sectors, sigma)
+        stack, stack_dag = ch.unitary_stack, ch._stack_dag
+        block = sigma
+        if support is not None:
+            on_support = np.ix_(support, support)
+            stack = np.ascontiguousarray(stack[:, support[:, None], support])
+            stack_dag = np.ascontiguousarray(stack_dag[:, support[:, None], support])
+            block = sigma[on_support]
+        left_stack, term_stack = np.empty_like(stack), np.empty_like(stack)
+
     for n in range(n_rec):
         if n > 0:
             if rotating:
                 sigma = _mix_product(ch, sigma)
-                phases = np.exp(1j * np.mod(n * angles, two_pi))
-                np.matmul(np.multiply(vecs, phases, out=left), vecs_dag, out=rot)
-                np.matmul(rot, sigma, out=left)
-                rho = left @ np.conjugate(rot, out=rot).T
+                rho = frame(n, sigma)
             elif dense:
-                sigma = _apply_dense(ch, sigma, left_stack, term_stack)
+                block = _apply_dense(stack, stack_dag, ch.weights, block,
+                                     left_stack, term_stack)
+                if support is None:
+                    sigma = block
+                else:
+                    sigma[on_support] = block
                 rho = sigma
             else:
                 sigma = apply_channel(ch, sigma)

@@ -17,7 +17,6 @@ from itertools import combinations
 
 import numpy as np
 
-PAULI_I = np.eye(2, dtype=complex)
 PAULI_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 PAULI_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]], dtype=complex)
 PAULI_Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
@@ -42,6 +41,9 @@ COUPLING_FIELDS = {"jx": "j_x", "jy": "j_y", "jz": "j_z", "hz": "h", "hx": "t"}
 TRACE_TOL = 1e-12
 HERMITICITY_TOL = 1e-12
 EIGENVALUE_FLOOR = -1e-10
+# Weight a full eigh leaves outside an eigenvector's popcount sector, relative
+# to its norm; more means a level degenerate across sectors.
+SECTOR_LEAK_TOL = 1e-12
 
 STATE_KINDS = (
     "haar_random_pure",
@@ -80,30 +82,6 @@ def pair_list(n_sites: int) -> list[tuple[int, int]]:
     return list(combinations(range(n_sites), 2))
 
 
-def kron_all(factors) -> np.ndarray:
-    out = np.array([[1.0 + 0.0j]])
-    for f in factors:
-        out = np.kron(out, f)
-    return out
-
-
-def local_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
-    """Embed a single-site operator at the given site (identity elsewhere)."""
-    factors = [PAULI_I] * n_sites
-    factors[site] = op
-    return kron_all(factors)
-
-
-def two_site_operator(op_a: np.ndarray, op_b: np.ndarray, m: int, n: int,
-                      n_sites: int) -> np.ndarray:
-    if m == n:
-        raise ValueError("two_site_operator needs distinct sites")
-    factors = [PAULI_I] * n_sites
-    factors[m] = op_a
-    factors[n] = op_b
-    return kron_all(factors)
-
-
 def site_bits(n_sites: int, site: int) -> np.ndarray:
     """Bit of each basis index at the given site (site 0 = MSB)."""
     idx = np.arange(2**n_sites)
@@ -118,6 +96,21 @@ def popcounts(n_sites: int) -> np.ndarray:
         counts += site_bits(n_sites, site)
     counts.setflags(write=False)
     return counts
+
+
+def charge_sectors(H: np.ndarray) -> tuple[np.ndarray, ...] | None:
+    """Basis indices of each popcount k = 0..N, or None if H mixes popcounts.
+
+    Exact: every nonzero entry H[i, j] must join two indices of equal
+    popcount (total magnetization conserved), so H, and every partial swap
+    added to it, is block-diagonal over the returned N+1 index arrays.
+    """
+    n_sites = sites_from_dim(H.shape[0])
+    counts = popcounts(n_sites)
+    rows, cols = np.nonzero(H)
+    if np.any(counts[rows] != counts[cols]):
+        return None
+    return tuple(np.flatnonzero(counts == k) for k in range(n_sites + 1))
 
 
 def magnetization_values(n_sites: int) -> np.ndarray:
@@ -342,6 +335,22 @@ def pure_state_density(psi: np.ndarray) -> np.ndarray:
     return np.outer(psi, psi.conj())
 
 
+def _sector_component(vec: np.ndarray, sectors) -> np.ndarray:
+    """vec restricted to the sector holding it, when the rest is roundoff.
+
+    Keeps vec's own entries (and so LAPACK's phase) on that sector and zeroes
+    the others; a vector spread across sectors beyond SECTOR_LEAK_TOL of its
+    norm is returned unchanged.
+    """
+    weights = [np.linalg.norm(vec[idx]) for idx in sectors]
+    home = sectors[int(np.argmax(weights))]
+    out = np.zeros_like(vec)
+    out[home] = vec[home]
+    if np.linalg.norm(vec - out) > SECTOR_LEAK_TOL * np.linalg.norm(vec):
+        return vec
+    return out
+
+
 def make_initial_state(spec: StateSpec, n_sites: int,
                        hamiltonian: np.ndarray | None = None) -> np.ndarray:
     """Build the density matrix described by a StateSpec."""
@@ -374,7 +383,13 @@ def make_initial_state(spec: StateSpec, n_sites: int,
         if not (0 <= a < dim and 0 <= b < dim):
             raise ValueError(f"eigenvector indices {spec.pair} out of range")
         _, vecs = np.linalg.eigh(hamiltonian)
-        rho = pure_state_density(vecs[:, a] + vecs[:, b])
+        va, vb = vecs[:, a], vecs[:, b]
+        # A full eigh leaves roundoff on other popcount sectors, which would put
+        # every sector in a dense stepper's support (channel.iterate_channel).
+        sectors = charge_sectors(hamiltonian)
+        if sectors is not None:
+            va, vb = _sector_component(va, sectors), _sector_component(vb, sectors)
+        rho = pure_state_density(va + vb)
     elif spec.kind == "maximally_mixed":
         rho = np.eye(dim, dtype=complex) / dim
     elif spec.kind == "explicit_matrix":

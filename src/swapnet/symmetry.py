@@ -17,7 +17,14 @@ from math import comb
 import numpy as np
 
 from .channel import Channel, apply_channel
-from .core import pair_list, popcounts, pure_state_density, sites_from_dim, swap_permutation
+from .core import (
+    charge_sectors,
+    pair_list,
+    popcounts,
+    pure_state_density,
+    sites_from_dim,
+    swap_permutation,
+)
 
 BLOCK_TOL = 1e-10
 CONDITION_TOL = 1e-10
@@ -32,7 +39,8 @@ class SymmetricSectorBasis:
     order). energies/vectors: sector eigenpairs of H in ascending energy,
     vectors expressed in the computational basis. full_indices: position of
     each sector eigenvalue within the full ascending spectrum of H
-    (degenerate groups assigned consecutively in sector order).
+    (degenerate groups assigned consecutively in sector order); the full
+    spectrum is merged from per-charge-sector spectra when H has them.
     """
 
     n: int
@@ -87,7 +95,12 @@ def symmetric_sector_basis(H: np.ndarray) -> SymmetricSectorBasis:
     energies, w = np.linalg.eigh(sec_h)
     vectors = basis @ w
 
-    full = np.linalg.eigvalsh(H)
+    sectors = charge_sectors(H)
+    if sectors is None:
+        full = np.linalg.eigvalsh(H)
+    else:
+        full = np.sort(np.concatenate([np.linalg.eigvalsh(H[np.ix_(idx, idx)])
+                                       for idx in sectors]))
     taken = np.zeros(len(full), dtype=bool)
     full_indices = np.empty(len(energies), dtype=int)
     for k, e in enumerate(energies):

@@ -4,6 +4,7 @@ import pytest
 from swapnet.channel import (
     Channel,
     ChannelSpec,
+    _apply_dense,
     _mix_product,
     apply_channel,
     build_channel,
@@ -19,9 +20,11 @@ from swapnet.core import (
     build_swap_operator,
     make_initial_state,
     pair_list,
+    popcounts,
     purity,
     swap_permutation,
 )
+from swapnet.noise import DisorderSpec, build_disordered_hamiltonian
 
 
 def expm_hermitian(h, dt=1.0):
@@ -36,6 +39,7 @@ def haar_state(n, seed):
 
 ISING3 = build_hamiltonian(HamiltonianSpec(family="ising", n=3, j_z=0.4, h=0.1))
 XX3 = build_hamiltonian(HamiltonianSpec(family="xx", n=3, j_x=0.4, h=0.1))
+TFI3 = build_hamiltonian(HamiltonianSpec(family="tfi", n=3, j_z=0.4, t=0.3))
 
 
 class TestSpecResolution:
@@ -225,39 +229,45 @@ class TestIterate:
 
     def test_rotating_frame_matches_direct_application(self):
         # product channel with non-diagonal U0 iterates in the rotating frame;
-        # the recorded view must agree with literal repeated application
-        ch = build_channel(XX3)
-        rho = haar_state(3, 10)
-        traj = iterate_channel(ch, rho, 60)
-        direct = rho
-        for _ in range(60):
-            direct = apply_channel(ch, direct)
-        assert np.allclose(traj.final_state, direct, atol=1e-12)
+        # the recorded view must agree with literal repeated application, both
+        # per popcount sector (xx) and over the one block of every index (tfi)
+        for h, sectored in [(XX3, True), (TFI3, False)]:
+            ch = build_channel(h)
+            assert ch.mode == "product" and (ch.sectors is not None) == sectored
+            rho = haar_state(3, 10)
+            traj = iterate_channel(ch, rho, 60)
+            direct = rho
+            for _ in range(60):
+                direct = apply_channel(ch, direct)
+            assert np.allclose(traj.final_state, direct, atol=1e-12)
 
     def test_rotating_frame_results_not_aliased(self):
         # the frame buffers are reused across steps; returned arrays must not be
-        ch = build_channel(XX3)
-        rho = haar_state(3, 12)
-        a = iterate_channel(ch, rho, 5, snapshot_stride=1)
-        kept = {n: s.copy() for n, s in a.snapshots.items()}
-        final = a.final_state.copy()
-        b = iterate_channel(ch, rho, 7, snapshot_stride=1)
-        assert not np.shares_memory(a.final_state, b.final_state)
-        assert np.array_equal(a.final_state, final)
-        assert np.array_equal(b.snapshots[5], final)
-        arrays = list(a.snapshots.values()) + [a.final_state]
-        for i, x in enumerate(arrays):
-            for y in arrays[i + 1:]:
-                assert not np.shares_memory(x, y)
-        for n, s in a.snapshots.items():
-            assert np.array_equal(s, kept[n])
+        for h, sectored in [(XX3, True), (TFI3, False)]:
+            ch = build_channel(h)
+            assert ch.mode == "product" and (ch.sectors is not None) == sectored
+            rho = haar_state(3, 12)
+            a = iterate_channel(ch, rho, 5, snapshot_stride=1)
+            kept = {n: s.copy() for n, s in a.snapshots.items()}
+            final = a.final_state.copy()
+            b = iterate_channel(ch, rho, 7, snapshot_stride=1)
+            assert not np.shares_memory(a.final_state, b.final_state)
+            assert np.array_equal(a.final_state, final)
+            assert np.array_equal(b.snapshots[5], final)
+            arrays = list(a.snapshots.values()) + [a.final_state]
+            for i, x in enumerate(arrays):
+                for y in arrays[i + 1:]:
+                    assert not np.shares_memory(x, y)
+            for n, s in a.snapshots.items():
+                assert np.array_equal(s, kept[n])
 
     def test_dense_stepper_matches_repeated_application(self):
         # the dense stepper reuses two stack buffers; every returned state is
-        # bit-identical to apply_channel and owns its memory
+        # bit-identical to apply_channel and owns its memory. The Haar start
+        # occupies every popcount sector, so the whole stack is stepped.
         h = build_network_hamiltonian(4, jx=0.4, jy=0.4, hz=[0.1, 0.13, 0.07, 0.1])
         ch = build_channel(h)
-        assert ch.mode == "dense"
+        assert ch.mode == "dense" and ch.sectors is not None
         rho = haar_state(4, 13)
         traj = iterate_channel(ch, rho, 40, record=("sx",), snapshot_stride=1)
         direct = rho
@@ -327,6 +337,91 @@ class TestIterate:
             iterate_channel(ch, haar_state(3, 17), 5, sites=(0, 3))
         with pytest.raises(ValueError):
             iterate_channel(ch, haar_state(3, 17), -1)
+
+
+def disordered(family, n, seed, epsilon=0.1, **couplings):
+    base = HamiltonianSpec(family=family, n=n, **couplings)
+    return build_disordered_hamiltonian(DisorderSpec(base=base, epsilon=epsilon, seed=seed))
+
+
+def eigenpair_start(h, n, pair):
+    return make_initial_state(StateSpec(kind="eigenpair_superposition", pair=pair), n,
+                              hamiltonian=h)
+
+
+def sector_support(rho, n):
+    """Mask of the indices whose popcount sector holds a nonzero entry of rho."""
+    counts = popcounts(n)
+    return np.isin(counts, np.unique(counts[np.nonzero(rho)[0]]))
+
+
+def full_path(ch, rho, steps):
+    """The dense stepper on the whole space, written out: states after each step."""
+    left, terms = np.empty_like(ch.unitary_stack), np.empty_like(ch.unitary_stack)
+    states = []
+    for _ in range(steps):
+        rho = _apply_dense(ch.unitary_stack, ch._stack_dag, ch.weights, rho, left, terms)
+        states.append(rho)
+    return states
+
+
+class TestChargeSectors:
+    @pytest.mark.parametrize("n", range(3, 7))
+    def test_sector_built_channel_matches_full_eigh(self, n):
+        # disordered XX: every member from one eigh per sector agrees with
+        # e^{i(H + kappa SW) dt} from a full eigh, and so do 200 steps
+        h = disordered("xx", n, seed=n, j_x=0.4, h=1.0)
+        ch = build_channel(h)
+        assert ch.mode == "dense" and len(ch.sectors) == n + 1
+        full = [expm_hermitian(h)] + [expm_hermitian(h + kappa * build_swap_operator(m, k, n))
+                                      for kappa, (m, k) in zip(ch.kappas, ch.pairs)]
+        for u, ref in zip(ch.unitary_stack, full):
+            assert np.max(np.abs(u - ref)) <= 1e-13
+        rho0 = eigenpair_start(build_hamiltonian(HamiltonianSpec(family="xx", n=n, j_x=0.4,
+                                                                 h=1.0)), n, (2**n - 2, 2**n - 1))
+        ref = rho0
+        for _ in range(200):
+            ref = sum(w * u @ ref @ u.conj().T for w, u in zip(ch.weights, full))
+        traj = iterate_channel(ch, rho0, 200, record=("sx",))
+        assert np.max(np.abs(traj.final_state - ref)) <= 1e-12
+
+    def test_blocks_outside_support_stay_exactly_zero(self):
+        n = 6
+        clean = build_hamiltonian(HamiltonianSpec(family="xx", n=n, j_x=0.4, h=1.0))
+        rho0 = eigenpair_start(clean, n, (62, 63))
+        support = sector_support(rho0, n)
+        assert support.sum() == 21              # popcount sectors 1 and 2
+        outside = ~np.outer(support, support)
+        ch = build_channel(disordered("xx", n, seed=5, j_x=0.4, h=1.0))
+        traj = iterate_channel(ch, rho0, 200, record=("sx",), snapshot_stride=1)
+        for state in traj.snapshots.values():
+            assert np.array_equal(state[outside], np.zeros(outside.sum()))
+        assert np.max(np.abs(traj.final_state[~outside])) > 0.01
+
+    def test_support_stepper_matches_apply_channel(self):
+        n = 5
+        clean = build_hamiltonian(HamiltonianSpec(family="xx", n=n, j_x=0.4, h=1.0))
+        rho0 = eigenpair_start(clean, n, (29, 31))
+        assert 0 < sector_support(rho0, n).sum() < 2**n
+        ch = build_channel(disordered("xx", n, seed=3, j_x=0.4, h=1.0))
+        traj = iterate_channel(ch, rho0, 200, record=("sx",), snapshot_stride=1)
+        direct = rho0
+        for step in range(1, 201):
+            direct = apply_channel(ch, direct)
+            assert np.max(np.abs(traj.snapshots[step] - direct)) <= 1e-13
+
+    def test_hamiltonian_without_sectors_takes_full_path(self):
+        # disordered tfi mixes popcounts; the Haar-start case of a sectored
+        # channel is test_dense_stepper_matches_repeated_application
+        n = 4
+        couplings = dict(j_z=0.4, t=0.3)
+        ch = build_channel(disordered("tfi", n, seed=2, **couplings))
+        assert ch.mode == "dense" and ch.sectors is None
+        rho0 = eigenpair_start(build_hamiltonian(HamiltonianSpec(family="tfi", n=n, **couplings)),
+                               n, (0, 5))
+        traj = iterate_channel(ch, rho0, 60, record=("sx",), snapshot_stride=1)
+        for step, state in enumerate(full_path(ch, rho0, 60), start=1):
+            assert np.array_equal(traj.snapshots[step], state)
 
 
 class TestSpectralStructure:

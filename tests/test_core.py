@@ -8,12 +8,12 @@ from swapnet.core import (
     PAULI_Y,
     PAULI_Z,
     StateSpec,
+    _sector_component,
     build_hamiltonian,
     build_network_hamiltonian,
     build_swap_operator,
+    charge_sectors,
     check_qubit_count,
-    kron_all,
-    local_operator,
     magnetization_values,
     make_initial_state,
     pair_list,
@@ -24,11 +24,34 @@ from swapnet.core import (
     swap_commutation_residual,
     swap_permutation,
     total_magnetization_expectation,
-    two_site_operator,
     validate_density_matrix,
     von_neumann_entropy,
 )
+from swapnet.noise import DisorderSpec, build_disordered_hamiltonian
 
+
+def kron_all(factors) -> np.ndarray:
+    out = np.array([[1.0 + 0.0j]])
+    for f in factors:
+        out = np.kron(out, f)
+    return out
+
+
+def local_operator(op: np.ndarray, site: int, n_sites: int) -> np.ndarray:
+    """Embed a single-site operator at the given site (identity elsewhere)."""
+    factors = [np.eye(2)] * n_sites
+    factors[site] = op
+    return kron_all(factors)
+
+
+def two_site_operator(op_a: np.ndarray, op_b: np.ndarray, m: int, n: int,
+                      n_sites: int) -> np.ndarray:
+    if m == n:
+        raise ValueError("two_site_operator needs distinct sites")
+    factors = [np.eye(2)] * n_sites
+    factors[m] = op_a
+    factors[n] = op_b
+    return kron_all(factors)
 
 class TestHamiltonians:
     def test_ising_two_qubits_diagonal(self):
@@ -332,6 +355,61 @@ class TestStates:
         skew[0, 1] = 0.1
         with pytest.raises(ValueError):
             validate_density_matrix(skew)
+
+
+class TestChargeSectors:
+    FAMILIES = {"ising": dict(j_z=0.4, h=0.1), "xx": dict(j_x=0.4, h=0.1),
+                "tfi": dict(j_z=0.4, t=0.1), "xyz": dict(j_x=0.1, j_y=0.2, j_z=0.3, h=0.1),
+                "general": dict(j_x=0.1, j_y=0.2, j_z=0.3, h=0.1, t=0.2)}
+
+    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("disordered", [False, True])
+    def test_classification(self, family, disordered):
+        n = 4
+        h = build_hamiltonian(HamiltonianSpec(family=family, n=n, **self.FAMILIES[family]))
+        if disordered:
+            base = HamiltonianSpec(family=family, n=n, **self.FAMILIES[family])
+            h = build_disordered_hamiltonian(DisorderSpec(base=base, epsilon=0.2, seed=3))
+        sectors = charge_sectors(h)
+        if family in ("tfi", "xyz", "general"):
+            assert sectors is None
+            return
+        assert len(sectors) == n + 1
+        for k, idx in enumerate(sectors):
+            assert np.array_equal(idx, np.flatnonzero(popcounts(n) == k))
+
+    def test_single_off_sector_entry_rejected(self):
+        h = build_hamiltonian(HamiltonianSpec(family="xx", n=4, j_x=0.4, h=0.1))
+        assert charge_sectors(h) is not None
+        h[0, 1] = 1e-300                       # popcount 0 to popcount 1
+        assert charge_sectors(h) is None
+
+    # (family, n, couplings, pair) of fig5, of fig6 and criterion 09, and of
+    # the disorder benchmark's scan
+    STARTS = [(6, dict(j_x=0.4, h=0.1), (62, 63)), (6, dict(j_x=0.4, h=1.0), (62, 63)),
+              (6, dict(j_x=0.4, h=1.0), (61, 63))]
+
+    @pytest.mark.parametrize("n, couplings, pair", STARTS)
+    def test_eigenpair_start_moves_by_roundoff(self, n, couplings, pair):
+        h = build_hamiltonian(HamiltonianSpec(family="xx", n=n, **couplings))
+        rho = make_initial_state(StateSpec(kind="eigenpair_superposition", pair=pair), n,
+                                 hamiltonian=h)
+        _, vecs = np.linalg.eigh(h)
+        psi = vecs[:, pair[0]] + vecs[:, pair[1]]
+        psi /= np.linalg.norm(psi)
+        assert np.max(np.abs(rho - np.outer(psi, psi.conj()))) <= 1e-15
+        counts = popcounts(n)
+        home = {int(counts[np.argmax(np.abs(vecs[:, a]))]) for a in pair}
+        outside = ~np.isin(counts, list(home))
+        assert np.array_equal(rho[outside], np.zeros_like(rho[outside]))
+
+    def test_vector_spread_across_sectors_kept(self):
+        # a level degenerate across sectors: |00> + |11> keeps both parts
+        sectors = charge_sectors(np.zeros((4, 4)))
+        spread = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2)
+        assert np.array_equal(_sector_component(spread, sectors), spread)
+        leaky = np.array([1e-17, 0.6, 0.8j, 0.0])
+        assert np.array_equal(_sector_component(leaky, sectors), [0.0, 0.6, 0.8j, 0.0])
 
 
 class TestObservables:

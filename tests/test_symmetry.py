@@ -10,7 +10,6 @@ from swapnet.core import (
     PAULI_X,
     build_hamiltonian,
     build_network_hamiltonian,
-    local_operator,
     pair_list,
     purity,
     swap_permutation,
@@ -28,6 +27,8 @@ from swapnet.symmetry import (
     verify_dynamical_symmetry,
 )
 
+# sigma_x on site 0 of three qubits (site 0 is the most significant bit)
+X0 = np.kron(PAULI_X, np.eye(4))
 XX3 = build_hamiltonian(HamiltonianSpec(family="xx", n=3, j_x=0.4, h=0.1))
 XX6 = build_hamiltonian(HamiltonianSpec(family="xx", n=6, j_x=0.4, h=0.1))
 
@@ -61,6 +62,24 @@ class TestSectorBasis:
             assert sector.block_residual <= 1e-10
             for k, e in enumerate(sector.energies):
                 assert abs(full[sector.full_indices[k]] - e) <= 1e-8
+
+    @pytest.mark.parametrize("n", range(3, 10))
+    @pytest.mark.parametrize("family, couplings", [("ising", dict(j_z=0.4, h=0.1)),
+                                                   ("xx", dict(j_x=0.4, h=0.1)),
+                                                   ("tfi", dict(j_z=0.4, t=0.1))])
+    def test_full_indices_match_full_spectrum_matching(self, n, family, couplings):
+        # the per-sector spectra, merged, place every sector energy where the
+        # full eigvalsh spectrum does
+        h = build_hamiltonian(HamiltonianSpec(family=family, n=n, **couplings))
+        sector = symmetric_sector_basis(h)
+        full = np.linalg.eigvalsh(h)
+        taken = np.zeros(len(full), dtype=bool)
+        expected = []
+        for e in sector.energies:
+            k = np.nonzero((np.abs(full - e) <= 1e-8) & ~taken)[0][0]
+            taken[k] = True
+            expected.append(k)
+        assert np.array_equal(sector.full_indices, expected)
 
     def test_vectors_are_full_eigenvectors(self):
         sector = symmetric_sector_basis(XX3)
@@ -205,7 +224,7 @@ class TestPrediction:
         sector = symmetric_sector_basis(XX3)
         syms = find_dynamical_symmetries(XX3, sector)
         rho0 = clean_tc_state(sector, 1, 3)
-        obs = local_operator(PAULI_X, 0, 3)
+        obs = X0
 
         ch = build_channel(XX3)
         traj = iterate_channel(ch, rho0, 200, record=("sx",), sites=(0,))
@@ -217,7 +236,7 @@ class TestPrediction:
         rho0 = make_initial_state(StateSpec(kind="w_plus_superposition"), 3)
         sector = symmetric_sector_basis(XX3)
         syms = find_dynamical_symmetries(XX3, sector)
-        obs = local_operator(PAULI_X, 0, 3)
+        obs = X0
         ch = build_channel(XX3)
         traj = iterate_channel(ch, rho0, 150, record=("sx",), sites=(0,))
         pred = predict_observable_series(rho0, syms, obs, np.arange(151))
@@ -226,7 +245,7 @@ class TestPrediction:
     def test_maximally_mixed_is_flat(self):
         sector = symmetric_sector_basis(XX3)
         syms = find_dynamical_symmetries(XX3, sector)
-        obs = local_operator(PAULI_X, 0, 3)
+        obs = X0
         rho = np.eye(8, dtype=complex) / 8
         exp = symmetry_expansion(rho, syms, obs)
         assert np.allclose(exp.weights, 0.0, atol=1e-12)
@@ -236,7 +255,7 @@ class TestPrediction:
     def test_needs_symmetries(self):
         with pytest.raises(ValueError):
             symmetry_expansion(np.eye(8, dtype=complex) / 8, [],
-                               local_operator(PAULI_X, 0, 3))
+                               X0)
 
     def test_fake_symmetry_rejected_by_channel(self):
         # |000><001| is neither swap-invariant nor an eigenoperator at this
