@@ -11,15 +11,16 @@ exchanging the tensor axes of sites m and n; otherwise the pair unitary comes
 from a full Hermitian eigendecomposition. Both paths accumulate the mixture in
 fixed pair order, so iterated runs are bitwise reproducible.
 
-When H conserves total magnetization (core.charge_sectors), U0 and every U_mn
-are block-diagonal over the popcount sectors: they are built from one
-eigendecomposition per sector, the rotating frame is synthesized per sector,
-and the dense stepper works only on the sectors the start occupies.
+Every unitary is held only as its blocks: the popcount sectors when H
+conserves total magnetization (core.charge_sectors), else one block of every
+index. One kernel conjugates an operand over the blocks it occupies, for the
+dense step, the rotating frame and apply_channel.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 import numpy as np
 
@@ -105,56 +106,91 @@ class ChannelSpec:
 
 @dataclass
 class Channel:
-    """Compiled channel: either partial-swap product form or dense unitaries."""
+    """Compiled channel: either partial-swap product form or dense unitaries,
+    every unitary held only as its blocks (`blocks`)."""
 
     n: int
     dim: int
     spec: ChannelSpec
     pairs: list
-    probs: np.ndarray
     kappas: np.ndarray
     mode: str                       # "product" or "dense"
-    u0: np.ndarray                  # dense U0 (product mode, non-diagonal H)
     u0_phases: np.ndarray | None    # U0 diagonal phases when H is diagonal
     sectors: tuple | None = field(default=None, repr=False)  # core.charge_sectors(H)
-    unitary_stack: np.ndarray | None = field(default=None, repr=False)
     weights: np.ndarray | None = field(default=None, repr=False)
-    # (eigenvalues, eigenvectors) of H per sector, or one pair when sectors is
-    # None; product mode with a non-diagonal H only
+    # (eigenvalues, eigenvectors, their adjoint) of H per block; product mode
+    # with a non-diagonal H only
     u0_eigen: tuple | None = field(default=None, repr=False)
+    # per block, the (K, d, d) stack of the mixture members (U0 first) and its
+    # conjugate transpose; dense mode only
+    members: tuple | None = field(default=None, repr=False)
     _phase_mat: np.ndarray | None = field(default=None, repr=False)
-    _stack_dag: np.ndarray | None = field(default=None, repr=False)
+
+    @property
+    def blocks(self) -> tuple:
+        """Index arrays of the blocks: the charge sectors, or every index."""
+        return self.sectors or (np.arange(self.dim),)
 
     def unitaries(self):
-        """Yield (probability, dense unitary) in fixed order, U0 first."""
+        """Yield (probability, dense unitary) in fixed order, U0 first, each
+        assembled from its blocks on demand."""
         if self.mode == "dense":
-            yield from zip(self.weights, self.unitary_stack)
-            return
-        yield self.weights[0], self.u0
-        theta = self.kappas * self.spec.dt
-        for k, (m, n) in enumerate(self.pairs):
-            perm = swap_permutation(self.n, m, n)
-            psw = np.cos(theta[k]) * self.u0 + 1j * np.sin(theta[k]) * self.u0[:, perm]
-            yield self.weights[k + 1], psw
+            per_member = [[u[k] for u, _ in self.members] for k in range(len(self.weights))]
+        else:
+            u0 = _u0_blocks(self)
+            theta = self.kappas * self.spec.dt
+            per_member = [u0] + [_partial_swap(u0, self.blocks, self.n, pair, t)
+                                 for t, pair in zip(theta, self.pairs)]
+        for w, member in zip(self.weights, per_member):
+            u = np.zeros((self.dim, self.dim), dtype=complex)
+            for idx, block in zip(self.blocks, member):
+                u[np.ix_(idx, idx)] = block
+            yield w, u
 
 
-def _polar_project(u: np.ndarray) -> np.ndarray:
-    """Nearest unitary (polar factor); trims eigh synthesis residue."""
-    w, _, vh = np.linalg.svd(u)
-    return w @ vh
-
-
-def _blockwise_exp(h: np.ndarray, blocks, dt: float):
-    """e^{i h dt} from one eigh per diagonal block of h (index arrays), with
-    exact zeros off the blocks; returns it and the (evals, vecs) per block."""
-    u = np.zeros(h.shape, dtype=complex)
-    eigen = []
+def _blockwise_exp(h: np.ndarray, blocks, dt: float) -> list:
+    """e^{i h dt} per diagonal block of h (index arrays), one eigh each; the
+    polar factor (nearest unitary) trims the synthesis residue."""
+    out = []
     for idx in blocks:
-        block = np.ix_(idx, idx)
-        evals, vecs = np.linalg.eigh(h[block])
-        u[block] = _polar_project((vecs * np.exp(1j * evals * dt)) @ vecs.conj().T)
-        eigen.append((evals, vecs))
-    return u, tuple(eigen)
+        evals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
+        w, _, vh = np.linalg.svd((vecs * np.exp(1j * evals * dt)) @ vecs.conj().T)
+        out.append(w @ vh)
+    return out
+
+
+def _partial_swap(u0: list, blocks, n_sites: int, pair, theta: float) -> list:
+    """Per block, the pair member cos(theta) U0 + i sin(theta) U0 SW_mn; the
+    swap maps every block onto itself."""
+    perm = swap_permutation(n_sites, *pair)
+    local = np.empty(perm.size, dtype=np.intp)      # index -> place in its block
+    for idx in blocks:
+        local[idx] = np.arange(idx.size)
+    return [np.cos(theta) * u + 1j * np.sin(theta) * u[:, local[perm[idx]]]
+            for u, idx in zip(u0, blocks)]
+
+
+def _rotation(eigen: list, dt: float, n: int) -> list:
+    """U0^n per block as (1, d, d) stacks with their adjoints, synthesized as
+    V e^{i n dt E} V^dag with the phases reduced mod 2 pi."""
+    rots = [(vecs * np.exp(1j * np.mod(n * (evals * dt), 2.0 * np.pi))) @ vecs_dag
+            for evals, vecs, vecs_dag in eigen]
+    return [(r[None], r.conj().T[None]) for r in rots]
+
+
+def _u0_blocks(ch: Channel) -> list:
+    """U0 per block, from the diagonal phases or synthesized from H's eigenpairs."""
+    if ch.u0_phases is not None:
+        return [np.diag(ch.u0_phases[idx]) for idx in ch.blocks]
+    return [u[0] for u, _ in _rotation(ch.u0_eigen, ch.spec.dt, 1)]
+
+
+def _check_unitary(mats) -> None:
+    """Reject a member block that departs from unitarity by > UNITARY_TOL."""
+    for u in mats:
+        u_err = float(np.max(np.abs(u @ u.conj().T - np.eye(len(u)))))
+        if u_err > UNITARY_TOL:
+            raise ValueError(f"mixture member not unitary, residual {u_err:.3e}")
 
 
 def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
@@ -180,57 +216,44 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
 
     residuals = [swap_commutation_residual(H, m, n, kappa=kappas[k])
                  for k, (m, n) in enumerate(pairs)]
-    product_form = all(r <= COMMUTE_TOL for r in residuals)
-
-    sectors = charge_sectors(H)
-    blocks = sectors or (np.arange(dim),)
     diag_h = float(np.max(np.abs(H - np.diag(np.diag(H))))) <= 1e-14
-    u0_eigen = None
-    if diag_h:
-        u0_phases = np.exp(1j * np.diag(H).real * spec.dt)
-        u0 = np.diag(u0_phases)
-    else:
-        u0_phases = None
-        u0, u0_eigen = _blockwise_exp(H, blocks, spec.dt)
+    ch = Channel(n=n_sites, dim=dim, spec=spec, pairs=pairs, kappas=kappas,
+                 mode="product" if all(r <= COMMUTE_TOL for r in residuals) else "dense",
+                 u0_phases=np.exp(1j * np.diag(H).real * spec.dt) if diag_h else None,
+                 sectors=charge_sectors(H), weights=weights)
+    blocks = ch.blocks
 
-    u_err = float(np.max(np.abs(u0 @ u0.conj().T - np.eye(dim))))
-    if u_err > UNITARY_TOL:
-        raise ValueError(f"U0 unitarity residual {u_err:.3e}")
+    if ch.mode == "product":
+        if diag_h:
+            ch._phase_mat = np.outer(ch.u0_phases, ch.u0_phases.conj())
+        else:
+            eigen = (np.linalg.eigh(H[np.ix_(idx, idx)]) for idx in blocks)
+            ch.u0_eigen = tuple((e, v, v.conj().T.copy()) for e, v in eigen)
+        _check_unitary(_u0_blocks(ch))
+        return ch
 
-    if product_form:
-        phase_mat = None
-        if u0_phases is not None:
-            phase_mat = np.outer(u0_phases, u0_phases.conj())
-        return Channel(n=n_sites, dim=dim, spec=spec, pairs=pairs, probs=probs,
-                       kappas=kappas, mode="product", u0=u0,
-                       u0_phases=u0_phases, sectors=sectors, weights=weights,
-                       u0_eigen=u0_eigen, _phase_mat=phase_mat)
-
-    # Dense unitaries for every mixture member (non-commuting pairs).
-    stack = np.empty((len(pairs) + 1, dim, dim), dtype=complex)
-    stack[0] = u0
-    for k, (m, n) in enumerate(pairs):
-        perm = swap_permutation(n_sites, m, n)
-        if residuals[k] <= COMMUTE_TOL:
-            theta = kappas[k] * spec.dt
-            stack[k + 1] = np.cos(theta) * u0 + 1j * np.sin(theta) * u0[:, perm]
+    # Dense: every mixture member, block by block (non-commuting pairs).
+    u0 = _u0_blocks(ch) if diag_h else _blockwise_exp(H, blocks, spec.dt)
+    stacks = [np.empty((len(weights), idx.size, idx.size), dtype=complex) for idx in blocks]
+    for k in range(len(weights)):
+        if k == 0:
+            member = u0
+        elif residuals[k - 1] <= COMMUTE_TOL:
+            member = _partial_swap(u0, blocks, n_sites, pairs[k - 1], kappas[k - 1] * spec.dt)
         else:
             # H + kappa SW without forming SW; adding kappa * 0 first gives
             # the same zero entries the dense sum would; SW_mn keeps popcount,
             # so hk has H's sectors.
-            hk = H + kappas[k] * 0.0
-            hk[perm, np.arange(dim)] += kappas[k]
-            stack[k + 1], _ = _blockwise_exp(hk, blocks, spec.dt)
-    eye = np.eye(dim)
-    for k in range(stack.shape[0]):
-        u_err = float(np.max(np.abs(stack[k] @ stack[k].conj().T - eye)))
-        if u_err > UNITARY_TOL:
-            raise ValueError(f"unitary {k} residual {u_err:.3e}")
-    ch = Channel(n=n_sites, dim=dim, spec=spec, pairs=pairs, probs=probs,
-                 kappas=kappas, mode="dense", u0=u0, u0_phases=None,
-                 sectors=sectors, unitary_stack=stack, weights=weights)
-    ch._stack_dag = stack.transpose(0, 2, 1).copy()
-    np.conjugate(ch._stack_dag, out=ch._stack_dag)   # one stack-sized allocation
+            hk = H + kappas[k - 1] * 0.0
+            hk[swap_permutation(n_sites, *pairs[k - 1]), np.arange(dim)] += kappas[k - 1]
+            member = _blockwise_exp(hk, blocks, spec.dt)
+        for stack, block in zip(stacks, member):
+            stack[k] = block
+    _check_unitary(u for stack in stacks for u in stack)
+    daggers = [stack.transpose(0, 2, 1).copy() for stack in stacks]
+    for dag in daggers:
+        np.conjugate(dag, out=dag)              # one allocation per block
+    ch.members = tuple(zip(stacks, daggers))
     return ch
 
 
@@ -266,60 +289,30 @@ def _mix_product(ch: Channel, rho: np.ndarray) -> np.ndarray:
     return inner
 
 
-def _apply_dense(stack: np.ndarray, stack_dag: np.ndarray, weights: np.ndarray,
-                 rho: np.ndarray, left: np.ndarray, terms: np.ndarray) -> np.ndarray:
-    """sum_k w_k U_k rho U_k^dag, forming the weighted members in two
-    stack-shaped buffers; the returned sum is a fresh array."""
-    np.matmul(stack, rho, out=left)
+def _occupied_blocks(ch: Channel, x: np.ndarray) -> tuple:
+    """Numbers of the blocks in which x has a nonzero entry (exact test), and
+    the np.ix_ gather of x into those blocks' order."""
+    occupied = [b for b, idx in enumerate(ch.blocks) if np.any(x[idx]) or np.any(x[:, idx])]
+    order = np.concatenate([ch.blocks[b] for b in occupied] or [np.empty(0, dtype=np.intp)])
+    return occupied, np.ix_(order, order)
+
+
+def _conjugate_blocks(members: list, weights: np.ndarray, x: np.ndarray,
+                      left: np.ndarray, terms: np.ndarray | None) -> np.ndarray:
+    """terms[k] = w_k U_k x U_k^dag for block-diagonal U_k, given per block as
+    a (K, d, d) stack and its adjoint on consecutive index ranges of the D x D
+    operand x: each block's rows, then its columns. left is (K, D, D) scratch;
+    without terms (one member) the result overwrites x, read before it."""
+    if terms is None:
+        terms = x[None]
+    sizes = [u.shape[-1] for u, _ in members]
+    slices = [slice(end - d, end) for d, end in zip(sizes, accumulate(sizes))]
+    for s, (u, _) in zip(slices, members):
+        np.matmul(u, x[s], out=left[:, s])
     left *= weights[:, None, None]
-    np.matmul(left, stack_dag, out=terms)
-    return terms.sum(axis=0)
-
-
-def _occupied_support(sectors, rho: np.ndarray) -> np.ndarray | None:
-    """Ascending indices of the sectors in which rho has a nonzero entry, or
-    None when that is every index (or there are no sectors). Exact test."""
-    if sectors is None:
-        return None
-    occupied = [idx for idx in sectors if np.any(rho[idx]) or np.any(rho[:, idx])]
-    if len(occupied) == len(sectors):
-        return None
-    return np.sort(np.concatenate(occupied))
-
-
-class _RotatingFrame:
-    """U0^n sigma U0^-n, synthesized per record from H's eigenpairs.
-
-    Phases are reduced mod 2 pi before exponentiation. The state is gathered
-    into sector order, where U0^n is block-diagonal: each sector's rotation is
-    formed on its own and applied to its rows, then to its columns,
-    O(dim sum_k d_k^2) instead of O(dim^3). Without sectors the one block is
-    every index.
-    """
-
-    def __init__(self, ch: Channel):
-        blocks = ch.sectors or (np.arange(ch.dim),)
-        self.left = np.empty((ch.dim, ch.dim), dtype=complex)
-        self.angles = np.concatenate([evals for evals, _ in ch.u0_eigen]) * ch.spec.dt
-        self.vecs = [(vecs, vecs.conj().T.copy()) for _, vecs in ch.u0_eigen]
-        order = np.concatenate(blocks)
-        self.to_sectors = np.ix_(order, order)
-        back = np.argsort(order)
-        self.from_sectors = np.ix_(back, back)
-        ends = np.cumsum([len(idx) for idx in blocks])
-        self.slices = [slice(end - len(idx), end) for idx, end in zip(blocks, ends)]
-
-    def __call__(self, n: int, sigma: np.ndarray) -> np.ndarray:
-        phases = np.exp(1j * np.mod(n * self.angles, 2.0 * np.pi))
-        left = self.left
-        ordered = sigma[self.to_sectors]
-        rots = []
-        for block, (vecs, vecs_dag) in zip(self.slices, self.vecs):
-            rots.append((vecs * phases[block]) @ vecs_dag)
-            np.matmul(rots[-1], ordered[block], out=left[block])
-        for block, rot in zip(self.slices, rots):
-            np.matmul(left[:, block], rot.conj().T, out=ordered[:, block])
-        return ordered[self.from_sectors]
+    for s, (_, u_dag) in zip(slices, members):
+        np.matmul(left[:, :, s], u_dag, out=terms[:, :, s])
+    return terms
 
 
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
@@ -327,15 +320,21 @@ def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"operand shape {rho.shape} does not match dim {ch.dim}")
 
+    if ch.mode == "product":
+        rho = _mix_product(ch, rho)
+        if ch._phase_mat is not None:
+            return ch._phase_mat * rho
+    occupied, gather = _occupied_blocks(ch, rho)
     if ch.mode == "dense":
-        return _apply_dense(ch.unitary_stack, ch._stack_dag, ch.weights, rho,
-                            np.empty_like(ch.unitary_stack),
-                            np.empty_like(ch.unitary_stack))
-
-    inner = _mix_product(ch, rho)
-    if ch._phase_mat is not None:
-        return ch._phase_mat * inner
-    return ch.u0 @ inner @ ch.u0.conj().T
+        members, weights = [ch.members[b] for b in occupied], ch.weights
+    else:
+        members, weights = _rotation([ch.u0_eigen[b] for b in occupied], ch.spec.dt, 1), np.ones(1)
+    x = rho[gather]
+    left = np.empty((len(weights),) + x.shape, dtype=complex)
+    terms = _conjugate_blocks(members, weights, x, left, np.empty_like(left))
+    full = np.zeros((ch.dim, ch.dim), dtype=complex)
+    full[gather] = terms.sum(axis=0)
+    return full
 
 
 def channel_superoperator(ch: Channel) -> np.ndarray:
@@ -459,50 +458,42 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
     m_vals = magnetization_values(ch.n) if "total_mz" in record else None
     snapshots: dict = {}
 
-    # Product channels with a non-diagonal U0 iterate in the rotating frame:
-    # only the partial-swap mixer touches the state, and the U0^n rotation is
-    # synthesized per record. Dense-sandwich roundoff then shows up in the
-    # recorded view, not in the iterated state, so invariants hold to machine
-    # precision over arbitrarily long runs. Trace, Hermiticity, spectrum and
-    # entropy are frame-independent and are checked on the state.
-    rotating = ch.mode == "product" and ch._phase_mat is None
-    if rotating:
-        frame = _RotatingFrame(ch)
-
     sigma = np.array(rho0, dtype=complex)
     rho = sigma
     rho0_conj = sigma.conj().copy()
     prev_entropy = None
 
-    # Dense channels step only the block of the sectors the start occupies
-    # (every member is block-diagonal, so the rest stays exactly zero) and
-    # form their mixture members in two buffers allocated once. With a partial
-    # support the step is written into sigma's block, so records and checks
-    # read one reused full-size state.
+    # Every member is block-diagonal, so sigma stays exactly zero outside the
+    # blocks the start occupies; the kernel works on those alone, in their
+    # order (x), with buffers allocated once. Non-diagonal product channels
+    # iterate in the rotating frame: only the mixer touches the state and U0^n
+    # is synthesized per record, so sandwich roundoff stays out of the state,
+    # where the frame-independent trace, Hermiticity and spectrum are checked.
+    occupied, gather = _occupied_blocks(ch, sigma)
+    partial = len(occupied) < len(ch.blocks)
     dense = ch.mode == "dense"
+    rotating = ch.mode == "product" and ch._phase_mat is None
+    size = sum(ch.blocks[b].size for b in occupied)
     if dense:
-        support = _occupied_support(ch.sectors, sigma)
-        stack, stack_dag = ch.unitary_stack, ch._stack_dag
-        block = sigma
-        if support is not None:
-            on_support = np.ix_(support, support)
-            stack = np.ascontiguousarray(stack[:, support[:, None], support])
-            stack_dag = np.ascontiguousarray(stack_dag[:, support[:, None], support])
-            block = sigma[on_support]
-        left_stack, term_stack = np.empty_like(stack), np.empty_like(stack)
+        x = sigma[gather]
+        members = [ch.members[b] for b in occupied]
+        left = np.empty((len(ch.weights), size, size), dtype=complex)
+        terms = np.empty_like(left)
+    if rotating:
+        eigen = [ch.u0_eigen[b] for b in occupied]
+        left = np.empty((1, size, size), dtype=complex)
+        view = np.zeros_like(sigma)
 
     for n in range(n_rec):
         if n > 0:
             if rotating:
                 sigma = _mix_product(ch, sigma)
-                rho = frame(n, sigma)
+                frame = _rotation(eigen, ch.spec.dt, n)
+                view[gather] = _conjugate_blocks(frame, np.ones(1), sigma[gather], left, None)[0]
+                rho = view
             elif dense:
-                block = _apply_dense(stack, stack_dag, ch.weights, block,
-                                     left_stack, term_stack)
-                if support is None:
-                    sigma = block
-                else:
-                    sigma[on_support] = block
+                np.sum(_conjugate_blocks(members, ch.weights, x, left, terms), axis=0, out=x)
+                sigma[gather] = x
                 rho = sigma
             else:
                 sigma = apply_channel(ch, sigma)
@@ -518,7 +509,8 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
 
         check_now = validate_stride and (n % validate_stride == 0 or n == steps)
         if want_entropy or check_now:
-            evals = np.linalg.eigvalsh(sigma)
+            # a partial support adds exact zeros, within min_eigenvalue's start
+            evals = np.linalg.eigvalsh((x if dense else sigma[gather]) if partial else sigma)
             entropy = entropy_from_eigenvalues(evals)
             if want_entropy:
                 records["entropy"][n] = entropy
@@ -538,6 +530,13 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
 
 
 def unitality_error(ch: Channel) -> float:
-    """Max-norm deviation of Phi(I/dim) from I/dim."""
-    mixed = np.eye(ch.dim, dtype=complex) / ch.dim
-    return float(np.max(np.abs(apply_channel(ch, mixed) - mixed)))
+    """Max-norm deviation of Phi(I/dim) from I/dim; a dense channel forms it
+    block by block as sum_k w_k U_k U_k^dag / dim."""
+    if ch.mode == "product":
+        mixed = np.eye(ch.dim, dtype=complex) / ch.dim
+        return float(np.max(np.abs(apply_channel(ch, mixed) - mixed)))
+    err = 0.0
+    for stack, stack_dag in ch.members:
+        mixed = sum(w * (u @ u_dag) for w, u, u_dag in zip(ch.weights, stack, stack_dag))
+        err = max(err, float(np.max(np.abs(mixed / ch.dim - np.eye(len(mixed)) / ch.dim))))
+    return err

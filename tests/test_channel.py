@@ -1,10 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from swapnet.channel import (
     Channel,
     ChannelSpec,
-    _apply_dense,
     _mix_product,
     apply_channel,
     build_channel,
@@ -18,6 +19,7 @@ from swapnet.core import (
     build_hamiltonian,
     build_network_hamiltonian,
     build_swap_operator,
+    entropy_from_eigenvalues,
     make_initial_state,
     pair_list,
     popcounts,
@@ -89,18 +91,19 @@ class TestBuildModes:
         ch = build_channel(XX3)
         assert ch.mode == "product"
         assert ch.u0_phases is None
-        assert np.allclose(ch.u0 @ ch.u0.conj().T, np.eye(8), atol=1e-12)
+        _, u0 = next(ch.unitaries())
+        assert np.allclose(u0 @ u0.conj().T, np.eye(8), atol=1e-12)
 
     def test_site_dependent_field_goes_dense(self):
         h = build_network_hamiltonian(3, jz=0.4, hz=[0.1, 0.2, 0.3])
         ch = build_channel(h)
         assert ch.mode == "dense"
-        assert ch.unitary_stack.shape == (4, 8, 8)
+        assert np.array([u for _, u in ch.unitaries()]).shape == (4, 8, 8)
 
     def test_weights_sum_exactly_to_one(self):
         for ch in (build_channel(ISING3), build_channel(XX3)):
             assert ch.weights.sum() == 1.0
-            assert np.allclose(ch.weights[1:], ch.probs)
+            assert np.allclose(ch.weights[1:], ChannelSpec().resolve(3)[1])
 
     def test_non_hermitian_rejected(self):
         bad = np.eye(4, dtype=complex)
@@ -357,10 +360,15 @@ def sector_support(rho, n):
 
 def full_path(ch, rho, steps):
     """The dense stepper on the whole space, written out: states after each step."""
-    left, terms = np.empty_like(ch.unitary_stack), np.empty_like(ch.unitary_stack)
+    stack = np.array([u for _, u in ch.unitaries()])
+    stack_dag = np.ascontiguousarray(stack.conj().transpose(0, 2, 1))
+    left, terms = np.empty_like(stack), np.empty_like(stack)
     states = []
     for _ in range(steps):
-        rho = _apply_dense(ch.unitary_stack, ch._stack_dag, ch.weights, rho, left, terms)
+        np.matmul(stack, rho, out=left)
+        left *= ch.weights[:, None, None]
+        np.matmul(left, stack_dag, out=terms)
+        rho = terms.sum(axis=0)
         states.append(rho)
     return states
 
@@ -369,21 +377,22 @@ class TestChargeSectors:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_sector_built_channel_matches_full_eigh(self, n):
         # disordered XX: every member from one eigh per sector agrees with
-        # e^{i(H + kappa SW) dt} from a full eigh, and so do 200 steps
+        # e^{i(H + kappa SW) dt} from a full eigh, and so do 200 steps from a
+        # start on two sectors and from one on every sector
         h = disordered("xx", n, seed=n, j_x=0.4, h=1.0)
         ch = build_channel(h)
         assert ch.mode == "dense" and len(ch.sectors) == n + 1
         full = [expm_hermitian(h)] + [expm_hermitian(h + kappa * build_swap_operator(m, k, n))
                                       for kappa, (m, k) in zip(ch.kappas, ch.pairs)]
-        for u, ref in zip(ch.unitary_stack, full):
+        for (_, u), ref in zip(ch.unitaries(), full):
             assert np.max(np.abs(u - ref)) <= 1e-13
-        rho0 = eigenpair_start(build_hamiltonian(HamiltonianSpec(family="xx", n=n, j_x=0.4,
-                                                                 h=1.0)), n, (2**n - 2, 2**n - 1))
-        ref = rho0
-        for _ in range(200):
-            ref = sum(w * u @ ref @ u.conj().T for w, u in zip(ch.weights, full))
-        traj = iterate_channel(ch, rho0, 200, record=("sx",))
-        assert np.max(np.abs(traj.final_state - ref)) <= 1e-12
+        clean = build_hamiltonian(HamiltonianSpec(family="xx", n=n, j_x=0.4, h=1.0))
+        for rho0 in (eigenpair_start(clean, n, (2**n - 2, 2**n - 1)), haar_state(n, n)):
+            ref = rho0
+            for _ in range(200):
+                ref = sum(w * u @ ref @ u.conj().T for w, u in zip(ch.weights, full))
+            traj = iterate_channel(ch, rho0, 200, record=("sx",))
+            assert np.max(np.abs(traj.final_state - ref)) <= 1e-12
 
     def test_blocks_outside_support_stay_exactly_zero(self):
         n = 6
@@ -399,16 +408,51 @@ class TestChargeSectors:
         assert np.max(np.abs(traj.final_state[~outside])) > 0.01
 
     def test_support_stepper_matches_apply_channel(self):
+        # dense, rotating-frame and diagonal product channels on a start in
+        # two sectors; the entropy record takes eigvalsh of the occupied block
         n = 5
         clean = build_hamiltonian(HamiltonianSpec(family="xx", n=n, j_x=0.4, h=1.0))
         rho0 = eigenpair_start(clean, n, (29, 31))
         assert 0 < sector_support(rho0, n).sum() < 2**n
-        ch = build_channel(disordered("xx", n, seed=3, j_x=0.4, h=1.0))
-        traj = iterate_channel(ch, rho0, 200, record=("sx",), snapshot_stride=1)
-        direct = rho0
-        for step in range(1, 201):
-            direct = apply_channel(ch, direct)
-            assert np.max(np.abs(traj.snapshots[step] - direct)) <= 1e-13
+        ising = build_hamiltonian(HamiltonianSpec(family="ising", n=n, j_z=0.4, h=0.1))
+        for h, mode, tol in [(disordered("xx", n, seed=3, j_x=0.4, h=1.0), "dense", 1e-13),
+                             (clean, "product", 1e-12), (ising, "product", 1e-13)]:
+            ch = build_channel(h)
+            assert ch.mode == mode and ch.sectors is not None
+            traj = iterate_channel(ch, rho0, 200, record=("sx", "entropy"),
+                                   snapshot_stride=1, validate_stride=1)
+            assert traj.invariants.passed()
+            direct = rho0
+            for step in range(1, 201):
+                direct = apply_channel(ch, direct)
+                assert np.max(np.abs(traj.snapshots[step] - direct)) <= tol
+                full = entropy_from_eigenvalues(np.linalg.eigvalsh(direct))
+                assert abs(traj.records["entropy"][step] - full) <= 1e-12
+
+    def test_compile_peak_below_one_full_stack(self):
+        # disordered XX at n=8: the member blocks and their adjoints take
+        # 2 sum_k C(8, k)^2 entries per member, against dim^2 for one full stack
+        h = disordered("xx", 8, seed=1, j_x=0.4, h=1.0)
+        tracemalloc.start()
+        try:
+            ch = build_channel(h)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert ch.mode == "dense"
+        assert peak < len(ch.weights) * ch.dim**2 * 16
+
+    def test_unitality_holds_no_stack_sized_buffer(self):
+        # fig6's channel: Phi(I/dim) is formed block by block
+        ch = build_channel(disordered("xx", 6, seed=5, j_x=0.4, h=1.0))
+        tracemalloc.start()
+        try:
+            err = unitality_error(ch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert err <= 1e-12
+        assert peak < len(ch.weights) * ch.dim**2 * 16 / 4
 
     def test_hamiltonian_without_sectors_takes_full_path(self):
         # disordered tfi mixes popcounts; the Haar-start case of a sectored
