@@ -17,16 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import product
 from math import comb
 
 import numpy as np
 
+from .channel import COMMUTE_TOL, ChannelSpec, build_channel
 from .core import (
     check_qubit_count,
     pair_list,
     popcounts,
     sites_from_dim,
-    swap_commutation_residual,
     swap_permutation,
 )
 
@@ -105,15 +106,21 @@ def class_labels(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     return labels, sizes
 
 
-def _class_coordinates(x: np.ndarray, n_sites: int) -> np.ndarray:
-    """Overlaps (Gamma_k, x) for every class k: label-wise sums of x."""
-    labels, sizes = class_labels(n_sites)
-    if x.shape != labels.shape:
-        raise ValueError(f"operand shape {x.shape} does not match {n_sites} qubits")
+def _label_sums(x: np.ndarray, labels: np.ndarray, sizes: np.ndarray) -> np.ndarray:
+    """Overlaps (Gamma_k, x) for every class k of an operand x whose entries
+    carry the given labels and are zero elsewhere: label-wise sums of x."""
     flat, k = labels.ravel(), len(sizes)
     sums = (np.bincount(flat, np.real(x).ravel(), k)
             + 1j * np.bincount(flat, np.imag(x).ravel(), k))
     return sums / np.sqrt(sizes)
+
+
+def _class_coordinates(x: np.ndarray, n_sites: int) -> np.ndarray:
+    """Overlaps (Gamma_k, x) for every class k."""
+    labels, sizes = class_labels(n_sites)
+    if x.shape != labels.shape:
+        raise ValueError(f"operand shape {x.shape} does not match {n_sites} qubits")
+    return _label_sums(x, labels, sizes)
 
 
 def _from_class_coordinates(coords: np.ndarray, n_sites: int) -> np.ndarray:
@@ -147,12 +154,26 @@ class AttractorSpectrum:
     eigenvalues: np.ndarray
     coordinates: np.ndarray | None     # (K, K), or None
     classes: list | None               # ClassIndex per entry (analytic case)
-    degeneracies: np.ndarray           # d_nu of each entry's eigenvalue cluster
     n_sites: int
 
     @property
     def phases(self) -> np.ndarray:
         return np.angle(self.eigenvalues)
+
+    @property
+    def degeneracies(self) -> np.ndarray:
+        """d_nu of each entry's eigenvalue cluster. In order of phase,
+        neighbours closer than 1e-9 share a cluster, and so do the last and
+        the first: a cluster at -1 may hold phases on both sides of the cut."""
+        order = np.argsort(self.phases, kind="stable")
+        w = self.eigenvalues[order]
+        apart = np.abs(w - np.roll(w, -1)) > 1e-9       # w[k] and w[k + 1 mod K]
+        runs = np.concatenate(([0], np.cumsum(apart[:-1])))
+        if apart.any() and not apart[-1]:
+            runs[runs == runs[-1]] = 0
+        degen = np.empty(len(w), dtype=np.intp)
+        degen[order] = np.bincount(runs)[runs]
+        return degen
 
     @property
     def operators(self) -> np.ndarray | None:
@@ -163,27 +184,6 @@ class AttractorSpectrum:
 
     def __len__(self) -> int:
         return len(self.eigenvalues)
-
-
-def _cluster_degeneracies(eigenvalues: np.ndarray, tol: float = 1e-9) -> np.ndarray:
-    K = len(eigenvalues)
-    degen = np.zeros(K, dtype=int)
-    assigned = np.full(K, -1)
-    groups = []
-    for i in range(K):
-        placed = False
-        for g, rep in groups:
-            if abs(eigenvalues[i] - rep) <= tol:
-                assigned[i] = g
-                placed = True
-                break
-        if not placed:
-            groups.append((len(groups), eigenvalues[i]))
-            assigned[i] = groups[-1][0]
-    for g, _ in groups:
-        members = assigned == g
-        degen[members] = int(np.sum(members))
-    return degen
 
 
 def ising_attractor_spectrum(n_sites: int, j_z: float, h: float,
@@ -207,9 +207,7 @@ def ising_attractor_spectrum(n_sites: int, j_z: float, h: float,
             eigenvalues[k] = np.exp(1j * phase * dt)
     coordinates = np.eye(len(classes), dtype=complex) if include_operators else None
     return AttractorSpectrum(eigenvalues=eigenvalues, coordinates=coordinates,
-                             classes=classes,
-                             degeneracies=_cluster_degeneracies(eigenvalues),
-                             n_sites=n_sites)
+                             classes=classes, n_sites=n_sites)
 
 
 def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0) -> AttractorSpectrum:
@@ -217,42 +215,47 @@ def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0) -> AttractorSpect
 
     Restricts conjugation by U0 = e^{iH dt} to the class-operator span,
     eigendecomposes the restricted (unitary) matrix, and returns eigen-pairs
-    with residual guarantees. Degenerate eigenvalue clusters are
-    re-orthonormalized in deterministic column order.
+    with residual and orthonormality guarantees. The eigenvectors are
+    orthonormalized by one QR in phase order, so the basis of a degenerate
+    cluster is deterministic.
 
-    The span is streamed one class at a time: U0 Gamma_b U0^dag is formed
-    from the columns of U0 at the class's entries, and its class coordinates
-    are column b of the restricted matrix. The part of the image outside the
-    span (its leak, roundoff only) enters each eigen-pair's residual bound.
+    U0 comes from the compiled channel, which must be in product form (H
+    commutes with every swap). U0 is block-diagonal over the channel's blocks
+    (popcount sectors, or one block of every index), and every entry of class
+    b has row popcount b10 + b11 and column popcount b01 + b11, so
+    U0 Gamma_b U0^dag lives on one (row block, column block) pair. It is
+    streamed one class at a time from the columns of U0's blocks at the
+    class's entries, and its class coordinates are column b of the restricted
+    matrix. The part of the image outside the span (its leak, roundoff only)
+    enters each eigen-pair's residual bound.
     """
-    n_sites = sites_from_dim(H.shape[0])
-    for m in range(n_sites):
-        for n in range(m + 1, n_sites):
-            r = swap_commutation_residual(H, m, n)
-            if r > 1e-10:
-                raise ValueError(
-                    f"H does not commute with swap ({m},{n}): residual {r:.3e}")
+    ch = build_channel(H, ChannelSpec(dt=dt))
+    if ch.mode != "product":
+        raise ValueError(f"H does not commute with every swap (residual > {COMMUTE_TOL:.0e})")
 
+    n_sites = ch.n
     labels, sizes = class_labels(n_sites)
-    dim, K = H.shape[0], len(sizes)
-    evals, vecs = np.linalg.eigh(H)
-    u0 = (vecs * np.exp(1j * evals * dt)) @ vecs.conj().T
-    u0_t, u0_dag = u0.T.copy(), u0.conj().T.copy()
-    # Entries of class b are entries[ends[b] - sizes[b]:ends[b]], as (row, col);
-    # they are summed in blocks of dim so that no temporary exceeds dim^2.
-    entries = np.argsort(labels, axis=None, kind="stable")
-    rows, cols = np.divmod(entries, dim)
-    ends = np.cumsum(sizes)
-    mat = np.empty((K, K), dtype=complex)
+    K = len(sizes)
+    mat = np.zeros((K, K), dtype=complex)
     leak = np.empty(K)
-    for b in range(K):
-        image = np.zeros((dim, dim), dtype=complex)
-        for s in range(ends[b] - sizes[b], ends[b], dim):
-            sel = slice(s, min(s + dim, ends[b]))
-            image += u0_t[rows[sel]].T @ u0_dag[cols[sel]]
-        image /= np.sqrt(sizes[b])
-        mat[:, b] = _class_coordinates(image, n_sites)
-        leak[b] = np.linalg.norm(image - _from_class_coordinates(mat[:, b], n_sites))
+    u0 = [(idx, u.T.copy(), u.conj().T.copy()) for idx, u in zip(ch.blocks, ch.u0_blocks())]
+    for (rows_idx, u_r_t, _), (cols_idx, _, u_c_dag) in product(u0, repeat=2):
+        block_labels = labels[np.ix_(rows_idx, cols_idx)]
+        # Entries of class b are entries[ends[b] - sizes[b]:ends[b]], as (row,
+        # col) in the block pair; they are summed in chunks of dim so that no
+        # temporary exceeds d_r x dim.
+        entries = np.argsort(block_labels, axis=None, kind="stable")
+        rows, cols = np.divmod(entries, cols_idx.size)
+        counts = np.bincount(block_labels.ravel(), minlength=K)
+        ends = np.cumsum(counts)
+        for b in np.flatnonzero(counts):
+            image = np.zeros(block_labels.shape, dtype=complex)
+            for s in range(ends[b] - sizes[b], ends[b], ch.dim):
+                sel = slice(s, min(s + ch.dim, ends[b]))
+                image += u_r_t[rows[sel]].T @ u_c_dag[cols[sel]]
+            image /= np.sqrt(sizes[b])
+            mat[:, b] = _label_sums(image, block_labels, sizes)
+            leak[b] = np.linalg.norm(image - (mat[:, b] / np.sqrt(sizes))[block_labels])
 
     unitary_err = float(np.max(np.abs(mat @ mat.conj().T - np.eye(K))))
     if unitary_err > 1e-10:
@@ -261,20 +264,13 @@ def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0) -> AttractorSpect
     w, v = np.linalg.eig(mat)
     order = np.argsort(np.angle(w), kind="stable")
     w = w[order]
-    v = v[:, order]
-
-    # Re-orthonormalize within eigenvalue clusters for reproducibility.
-    start = 0
-    while start < K:
-        stop = start + 1
-        while stop < K and abs(w[stop] - w[start]) <= 1e-9:
-            stop += 1
-        if stop - start > 1:
-            q, _ = np.linalg.qr(v[:, start:stop])
-            v[:, start:stop] = q
-        else:
-            v[:, start] /= np.linalg.norm(v[:, start])
-        start = stop
+    # mat is normal, so its Schur vectors are eigenvectors: one QR in phase
+    # order orthonormalizes every degenerate cluster, one that straddles the
+    # +-pi cut included, and removes the roundoff overlap between close ones.
+    v = np.linalg.qr(v[:, order])[0]
+    orth_err = float(np.max(np.abs(v.conj().T @ v - np.eye(K))))
+    if orth_err > 1e-10:
+        raise ValueError(f"eigen-operators not orthonormal: {orth_err:.3e}")
 
     # Residual guarantees on every returned pair. By the triangle inequality
     # ||U0 A U0^dag - w A|| <= ||(mat - w) v|| + sum_b |v_b| leak_b.
@@ -289,8 +285,7 @@ def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0) -> AttractorSpect
         if not np.array_equal(labels[perm][:, perm], labels):
             raise ValueError(f"class labels not invariant under swap ({m},{n})")
 
-    return AttractorSpectrum(eigenvalues=w, coordinates=v.T, classes=None,
-                             degeneracies=_cluster_degeneracies(w), n_sites=n_sites)
+    return AttractorSpectrum(eigenvalues=w, coordinates=v.T, classes=None, n_sites=n_sites)
 
 
 @dataclass
@@ -319,10 +314,9 @@ def asymptotic_state(spectrum: AttractorSpectrum, rho0: np.ndarray, n: int) -> n
     return attractor_expansion(spectrum, rho0).state_at(n)
 
 
-def commutant_distance(rho: np.ndarray, n_sites: int | None = None) -> float:
+def commutant_distance(rho: np.ndarray) -> float:
     """Hilbert-Schmidt distance of rho from its projection onto the class span."""
-    if n_sites is None:
-        n_sites = sites_from_dim(rho.shape[0])
+    n_sites = sites_from_dim(rho.shape[0])
     proj = _from_class_coordinates(_class_coordinates(rho, n_sites), n_sites)
     return float(np.linalg.norm(rho - proj))
 

@@ -131,13 +131,20 @@ class Channel:
         """Index arrays of the blocks: the charge sectors, or every index."""
         return self.sectors or (np.arange(self.dim),)
 
+    def u0_blocks(self) -> list:
+        """U0 per block, from the phases of a diagonal H or, in product mode,
+        synthesized from H's eigenpairs."""
+        if self.u0_phases is not None:
+            return [np.diag(self.u0_phases[idx]) for idx in self.blocks]
+        return [u[0] for u, _ in _rotation(self.u0_eigen, self.spec.dt, 1)]
+
     def unitaries(self):
         """Yield (probability, dense unitary) in fixed order, U0 first, each
         assembled from its blocks on demand."""
         if self.mode == "dense":
             per_member = [[u[k] for u, _ in self.members] for k in range(len(self.weights))]
         else:
-            u0 = _u0_blocks(self)
+            u0 = self.u0_blocks()
             theta = self.kappas * self.spec.dt
             per_member = [u0] + [_partial_swap(u0, self.blocks, self.n, pair, t)
                                  for t, pair in zip(theta, self.pairs)]
@@ -176,13 +183,6 @@ def _rotation(eigen: list, dt: float, n: int) -> list:
     rots = [(vecs * np.exp(1j * np.mod(n * (evals * dt), 2.0 * np.pi))) @ vecs_dag
             for evals, vecs, vecs_dag in eigen]
     return [(r[None], r.conj().T[None]) for r in rots]
-
-
-def _u0_blocks(ch: Channel) -> list:
-    """U0 per block, from the diagonal phases or synthesized from H's eigenpairs."""
-    if ch.u0_phases is not None:
-        return [np.diag(ch.u0_phases[idx]) for idx in ch.blocks]
-    return [u[0] for u, _ in _rotation(ch.u0_eigen, ch.spec.dt, 1)]
 
 
 def _check_unitary(mats) -> None:
@@ -229,11 +229,11 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
         else:
             eigen = (np.linalg.eigh(H[np.ix_(idx, idx)]) for idx in blocks)
             ch.u0_eigen = tuple((e, v, v.conj().T.copy()) for e, v in eigen)
-        _check_unitary(_u0_blocks(ch))
+        _check_unitary(ch.u0_blocks())
         return ch
 
     # Dense: every mixture member, block by block (non-commuting pairs).
-    u0 = _u0_blocks(ch) if diag_h else _blockwise_exp(H, blocks, spec.dt)
+    u0 = ch.u0_blocks() if diag_h else _blockwise_exp(H, blocks, spec.dt)
     stacks = [np.empty((len(weights), idx.size, idx.size), dtype=complex) for idx in blocks]
     for k in range(len(weights)):
         if k == 0:

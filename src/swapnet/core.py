@@ -242,10 +242,9 @@ def build_swap_operator(m: int, n: int, n_sites: int) -> np.ndarray:
     return sw
 
 
-def partial_trace(rho: np.ndarray, drop, n_sites: int | None = None) -> np.ndarray:
+def partial_trace(rho: np.ndarray, drop) -> np.ndarray:
     """Trace out the sites in `drop`, keeping the rest in site order."""
-    if n_sites is None:
-        n_sites = sites_from_dim(rho.shape[0])
+    n_sites = sites_from_dim(rho.shape[0])
     drop = sorted(set(int(s) for s in drop))
     if any(s < 0 or s >= n_sites for s in drop):
         raise ValueError(f"drop sites {drop} out of range for {n_sites} qubits")

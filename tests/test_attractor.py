@@ -19,7 +19,7 @@ from swapnet.attractor import (
     reduce_gamma,
     single_site_frequencies,
 )
-from swapnet.channel import ChannelSpec, apply_channel, build_channel
+from swapnet.channel import ChannelSpec, apply_channel, build_channel, iterate_channel
 from swapnet.core import (
     HamiltonianSpec,
     StateSpec,
@@ -252,8 +252,34 @@ class TestGeneralSpectrum:
 
     def test_rejects_nonsymmetric_hamiltonian(self):
         from swapnet.core import build_network_hamiltonian
-        h = build_network_hamiltonian(3, jz=0.4, hz=[0.1, 0.2, 0.3])
-        with pytest.raises(ValueError):
+        # one qubit has no swap, so no channel to take U0 from
+        one_qubit = build_hamiltonian(HamiltonianSpec(family="ising", n=1, j_z=0.4, h=0.1))
+        for h in (build_network_hamiltonian(3, jz=0.4, hz=[0.1, 0.2, 0.3]), one_qubit):
+            with pytest.raises(ValueError):
+                general_attractor_spectrum(h)
+
+    @pytest.mark.parametrize("t", [np.pi / 2, np.pi / 2 + 1e-13])
+    def test_cluster_across_the_phase_cut(self, t):
+        # U0 = -i XXX: conjugation has eigenvalues +-1, and the cluster at -1
+        # holds phases on both sides of +-pi.
+        h = build_hamiltonian(HamiltonianSpec(family="tfi", n=3, j_z=0.0, t=t))
+        spec = general_attractor_spectrum(h)
+        at_cut = spec.phases[np.abs(spec.eigenvalues + 1.0) <= 1e-9]
+        assert at_cut.min() < 0.0 < at_cut.max()
+        near = np.abs(spec.eigenvalues[:, None] - spec.eigenvalues[None, :]) <= 1e-9
+        assert np.array_equal(spec.degeneracies, near.sum(axis=1))
+        c = spec.coordinates
+        assert np.max(np.abs(c @ c.conj().T - np.eye(len(c)))) <= 1e-12
+        rho0 = make_initial_state(StateSpec(kind="haar_random_pure", seed=3), 3)
+        traj = iterate_channel(build_channel(h), rho0, 400, record=("sx",), sites=(0,))
+        assert np.linalg.norm(asymptotic_state(spec, rho0, 400) - traj.final_state) <= 1e-10
+
+    def test_rejects_coordinates_that_are_not_orthonormal(self, monkeypatch):
+        # Without re-orthonormalization, eig's vectors for the degenerate
+        # clusters at +-1 are not orthonormal.
+        h = build_hamiltonian(HamiltonianSpec(family="tfi", n=3, j_z=0.0, t=np.pi / 2))
+        monkeypatch.setattr(np.linalg, "qr", lambda a: (a, None))
+        with pytest.raises(ValueError, match="not orthonormal"):
             general_attractor_spectrum(h)
 
 
