@@ -13,14 +13,16 @@ fixed pair order, so iterated runs are bitwise reproducible.
 
 Every unitary is held only as its blocks: the popcount sectors when H
 conserves total magnetization (core.charge_sectors), else one block of every
-index. One kernel conjugates an operand over the blocks it occupies, for the
-dense step, the rotating frame and apply_channel.
+index. One stepper per mode (diagonal product, rotating frame, dense) yields
+the iterated states; apply_channel is its step 1 and iterate_channel records
+along it. One kernel conjugates an operand over the blocks it occupies, for
+the dense step and the rotating frame.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import accumulate
+from itertools import accumulate, count, islice
 
 import numpy as np
 
@@ -30,13 +32,13 @@ from .core import (
     TRACE_TOL,
     charge_sectors,
     entropy_from_eigenvalues,
-    magnetization_values,
     pair_list,
     per_entry_values,
     single_site_expectations,
     sites_from_dim,
     swap_commutation_residual,
     swap_permutation,
+    total_magnetization_expectation,
 )
 
 COMMUTE_TOL = 1e-10
@@ -315,26 +317,60 @@ def _conjugate_blocks(members: list, weights: np.ndarray, x: np.ndarray,
     return terms
 
 
+def _states(ch: Channel, rho0: np.ndarray):
+    """Yield (lab-frame state, checked state) for n = 0, 1, 2, ... applications:
+    the checked state is the un-rotated sigma that the trace, Hermiticity and
+    spectrum checks read. Every member is block-diagonal, so sigma stays
+    exactly zero outside the blocks rho0 occupies, and the dense and rotating
+    steppers work on those alone. A yielded array may be reused by the next step.
+    """
+    sigma = np.array(rho0, dtype=complex)
+    yield sigma, sigma
+    if ch._phase_mat is not None:       # diagonal U0: each step is apply_channel
+        while True:
+            sigma = apply_channel(ch, sigma)
+            yield sigma, sigma
+    occupied, gather = _occupied_blocks(ch, sigma)
+    if ch.mode == "dense":
+        stepper = _dense_steps(ch, sigma, [ch.members[b] for b in occupied], gather)
+    else:
+        stepper = _rotating_steps(ch, sigma, [ch.u0_eigen[b] for b in occupied], gather)
+    del sigma                           # the stepper alone holds the state
+    yield from stepper
+
+
+def _rotating_steps(ch: Channel, sigma: np.ndarray, eigen: list, gather: tuple):
+    """Non-diagonal product channel, in the rotating frame: only the mixer
+    touches sigma, and U0^n is synthesized on the occupied blocks for the
+    lab-frame view, so sandwich roundoff stays out of sigma."""
+    view = np.zeros_like(sigma)
+    left = np.empty((1, gather[0].size, gather[0].size), dtype=complex)
+    for n in count(1):
+        sigma = _mix_product(ch, sigma)
+        frame = _rotation(eigen, ch.spec.dt, n)
+        view[gather] = _conjugate_blocks(frame, np.ones(1), sigma[gather], left, None)[0]
+        yield view, sigma
+
+
+def _dense_steps(ch: Channel, sigma: np.ndarray, members: list, gather: tuple):
+    """Dense members, sandwiched on the occupied block x in place, with the
+    kernel's two buffers allocated once."""
+    x = sigma[gather]
+    left = np.empty((len(ch.weights),) + x.shape, dtype=complex)
+    terms = np.empty_like(left)
+    while True:
+        np.sum(_conjugate_blocks(members, ch.weights, x, left, terms), axis=0, out=x)
+        sigma[gather] = x
+        yield sigma, sigma
+
+
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
-    """One application Phi(rho). Valid for any operator, not just states."""
+    """One application Phi(rho) of any operator: step 1 of the stepper."""
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"operand shape {rho.shape} does not match dim {ch.dim}")
-
-    if ch.mode == "product":
-        rho = _mix_product(ch, rho)
-        if ch._phase_mat is not None:
-            return ch._phase_mat * rho
-    occupied, gather = _occupied_blocks(ch, rho)
-    if ch.mode == "dense":
-        members, weights = [ch.members[b] for b in occupied], ch.weights
-    else:
-        members, weights = _rotation([ch.u0_eigen[b] for b in occupied], ch.spec.dt, 1), np.ones(1)
-    x = rho[gather]
-    left = np.empty((len(weights),) + x.shape, dtype=complex)
-    terms = _conjugate_blocks(members, weights, x, left, np.empty_like(left))
-    full = np.zeros((ch.dim, ch.dim), dtype=complex)
-    full[gather] = terms.sum(axis=0)
-    return full
+    if ch._phase_mat is not None:
+        return ch._phase_mat * _mix_product(ch, rho)
+    return next(islice(_states(ch, rho), 1, None))[0]
 
 
 def channel_superoperator(ch: Channel) -> np.ndarray:
@@ -402,7 +438,6 @@ class Trajectory:
     steps: np.ndarray
     sites: tuple
     records: dict
-    snapshots: dict
     final_state: np.ndarray
     invariants: InvariantReport | None = None
 
@@ -421,7 +456,6 @@ class Trajectory:
 
 def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
                     record=OBSERVABLE_NAMES, sites=None,
-                    snapshot_stride: int = 0,
                     validate_stride: int = 0) -> Trajectory:
     """Iterate Phi on rho0 for `steps` applications, recording each n.
 
@@ -445,59 +479,21 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
             raise ValueError(f"sites {sites} out of range for {ch.n} qubits")
 
     n_rec = steps + 1
-    records: dict = {}
-    for name in SITE_OBSERVABLES:
-        if name in record:
-            records[name] = np.empty((n_rec, len(sites)))
-    for name in RUN_OBSERVABLES:
-        if name in record:
-            records[name] = np.empty(n_rec)
+    records = {name: np.empty((n_rec, len(sites)) if name in SITE_OBSERVABLES else n_rec)
+               for name in OBSERVABLE_NAMES if name in record}
 
     report = InvariantReport() if validate_stride else None
     want_entropy = "entropy" in record
-    m_vals = magnetization_values(ch.n) if "total_mz" in record else None
-    snapshots: dict = {}
-
-    sigma = np.array(rho0, dtype=complex)
-    rho = sigma
-    rho0_conj = sigma.conj().copy()
+    rho0_conj = np.asarray(rho0, dtype=complex).conj()
+    # the spectrum of a partial support is that of its occupied block, plus
+    # exact zeros within min_eigenvalue's start
+    occupied, gather = _occupied_blocks(ch, rho0)
+    partial = len(occupied) < len(ch.blocks)
     prev_entropy = None
 
-    # Every member is block-diagonal, so sigma stays exactly zero outside the
-    # blocks the start occupies; the kernel works on those alone, in their
-    # order (x), with buffers allocated once. Non-diagonal product channels
-    # iterate in the rotating frame: only the mixer touches the state and U0^n
-    # is synthesized per record, so sandwich roundoff stays out of the state,
-    # where the frame-independent trace, Hermiticity and spectrum are checked.
-    occupied, gather = _occupied_blocks(ch, sigma)
-    partial = len(occupied) < len(ch.blocks)
-    dense = ch.mode == "dense"
-    rotating = ch.mode == "product" and ch._phase_mat is None
-    size = sum(ch.blocks[b].size for b in occupied)
-    if dense:
-        x = sigma[gather]
-        members = [ch.members[b] for b in occupied]
-        left = np.empty((len(ch.weights), size, size), dtype=complex)
-        terms = np.empty_like(left)
-    if rotating:
-        eigen = [ch.u0_eigen[b] for b in occupied]
-        left = np.empty((1, size, size), dtype=complex)
-        view = np.zeros_like(sigma)
-
+    states = _states(ch, rho0)
     for n in range(n_rec):
-        if n > 0:
-            if rotating:
-                sigma = _mix_product(ch, sigma)
-                frame = _rotation(eigen, ch.spec.dt, n)
-                view[gather] = _conjugate_blocks(frame, np.ones(1), sigma[gather], left, None)[0]
-                rho = view
-            elif dense:
-                np.sum(_conjugate_blocks(members, ch.weights, x, left, terms), axis=0, out=x)
-                sigma[gather] = x
-                rho = sigma
-            else:
-                sigma = apply_channel(ch, sigma)
-                rho = sigma
+        rho, sigma = next(states)
         for j, s in enumerate(sites):
             for name, value in zip(SITE_OBSERVABLES, single_site_expectations(rho, s)):
                 if name in records:
@@ -505,12 +501,11 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
         if "loschmidt" in records:
             records["loschmidt"][n] = float(np.real(np.sum(rho0_conj * rho)))
         if "total_mz" in records:
-            records["total_mz"][n] = float(np.sum(m_vals * np.real(np.diag(rho))))
+            records["total_mz"][n] = total_magnetization_expectation(rho)
 
         check_now = validate_stride and (n % validate_stride == 0 or n == steps)
         if want_entropy or check_now:
-            # a partial support adds exact zeros, within min_eigenvalue's start
-            evals = np.linalg.eigvalsh((x if dense else sigma[gather]) if partial else sigma)
+            evals = np.linalg.eigvalsh(sigma[gather] if partial else sigma)
             entropy = entropy_from_eigenvalues(evals)
             if want_entropy:
                 records["entropy"][n] = entropy
@@ -522,11 +517,10 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
                 report.min_entropy_increment = min(report.min_entropy_increment,
                                                    entropy - prev_entropy)
             prev_entropy = entropy
-        if snapshot_stride and n % snapshot_stride == 0:
-            snapshots[n] = rho.copy()
+        del sigma               # not held over the next step, whose mix may free it
 
     return Trajectory(steps=np.arange(n_rec), sites=sites, records=records,
-                      snapshots=snapshots, final_state=rho, invariants=report)
+                      final_state=rho, invariants=report)
 
 
 def unitality_error(ch: Channel) -> float:

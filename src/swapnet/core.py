@@ -71,7 +71,7 @@ def check_qubit_count(n_sites: int) -> int:
 
 def sites_from_dim(dim: int) -> int:
     """Number of qubits for a Hilbert-space dimension, validated."""
-    n = int(round(np.log2(dim)))
+    n = int(dim).bit_length() - 1
     if 2**n != dim:
         raise ValueError(f"dimension {dim} is not a power of two")
     return n
@@ -113,9 +113,13 @@ def charge_sectors(H: np.ndarray) -> tuple[np.ndarray, ...] | None:
     return tuple(np.flatnonzero(counts == k) for k in range(n_sites + 1))
 
 
+@lru_cache(maxsize=None)
 def magnetization_values(n_sites: int) -> np.ndarray:
-    """M_i = (number of 0 bits) - (number of 1 bits) per basis index."""
-    return n_sites - 2 * popcounts(n_sites)
+    """M_i = (number of 0 bits) - (number of 1 bits) per basis index (cached
+    per size, read-only)."""
+    values = n_sites - 2 * popcounts(n_sites)
+    values.setflags(write=False)
+    return values
 
 
 @dataclass(frozen=True)
@@ -384,7 +388,7 @@ def make_initial_state(spec: StateSpec, n_sites: int,
         _, vecs = np.linalg.eigh(hamiltonian)
         va, vb = vecs[:, a], vecs[:, b]
         # A full eigh leaves roundoff on other popcount sectors, which would put
-        # every sector in a dense stepper's support (channel.iterate_channel).
+        # every sector in the support of the channel's steppers (channel._states).
         sectors = charge_sectors(hamiltonian)
         if sectors is not None:
             va, vb = _sector_component(va, sectors), _sector_component(vb, sectors)
@@ -427,7 +431,6 @@ def _site_indices(n_sites: int, site: int) -> tuple[np.ndarray, ...]:
 
 
 def total_magnetization_expectation(rho: np.ndarray) -> float:
-    """<sum_m sigma_z^m> from the diagonal."""
+    """<sum_m sigma_z^m> from the real part of the diagonal."""
     n_sites = sites_from_dim(rho.shape[0])
-    m_vals = magnetization_values(n_sites)
-    return float(np.real(np.sum(m_vals * np.diag(rho))))
+    return float(np.sum(magnetization_values(n_sites) * np.real(np.diag(rho))))

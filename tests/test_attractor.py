@@ -69,18 +69,10 @@ def dense_stack_spectrum(h):
     u0 = (vecs * np.exp(1j * evals)) @ vecs.conj().T
     mat = np.tensordot(gammas.conj(), u0 @ gammas @ u0.conj().T, axes=([1, 2], [1, 2]))
     w, v = np.linalg.eig(mat)
+    # mat is normal, so one QR over all eigenvectors in phase order
+    # orthonormalizes every degenerate cluster, one across +-pi included
     order = np.argsort(np.angle(w), kind="stable")
-    w, v = w[order], v[:, order]
-    start = 0
-    while start < len(w):
-        stop = start + 1
-        while stop < len(w) and abs(w[stop] - w[start]) <= 1e-9:
-            stop += 1
-        if stop - start > 1:
-            v[:, start:stop] = np.linalg.qr(v[:, start:stop])[0]
-        else:
-            v[:, start] /= np.linalg.norm(v[:, start])
-        start = stop
+    w, v = w[order], np.linalg.qr(v[:, order])[0]
     return w, np.tensordot(v.T, gammas, axes=(1, 0))
 
 
@@ -288,21 +280,23 @@ class TestDenseStackAgreement:
 
     HAMILTONIANS = (("ising", dict(j_z=0.4, h=0.1)), ("xx", dict(j_x=0.37, h=0.13)),
                     ("tfi", dict(j_z=0.4, t=0.21)))
+    # U0 = -i XXX: a degenerate cluster at -1 straddles the +-pi cut
+    CUT_CASE = (3, "tfi", dict(j_z=0.0, t=np.pi / 2))
 
     def test_spectrum_and_late_time_states(self):
-        for n in (2, 3, 4):
+        cases = [(n, family, kw) for n in (2, 3, 4) for family, kw in self.HAMILTONIANS]
+        for n, family, kw in cases + [self.CUT_CASE]:
             rho0 = make_initial_state(StateSpec(kind="haar_random_pure", seed=40 + n), n)
-            for family, kw in self.HAMILTONIANS:
-                h = build_hamiltonian(HamiltonianSpec(family=family, n=n, **kw))
-                spec = general_attractor_spectrum(h)
-                w, ops = dense_stack_spectrum(h)
-                assert match_multisets(w, spec.eigenvalues, 1e-12) <= 1e-12
-                coeffs = np.einsum("kij,ij->k", ops.conj(), rho0)
-                for steps in (0, 1, 100):
-                    dense = np.tensordot(np.exp(1j * np.angle(w) * steps) * coeffs,
-                                         ops, axes=(0, 0))
-                    assert np.linalg.norm(asymptotic_state(spec, rho0, steps)
-                                          - dense) <= 1e-12
+            h = build_hamiltonian(HamiltonianSpec(family=family, n=n, **kw))
+            spec = general_attractor_spectrum(h)
+            w, ops = dense_stack_spectrum(h)
+            assert match_multisets(w, spec.eigenvalues, 1e-12) <= 1e-12
+            coeffs = np.einsum("kij,ij->k", ops.conj(), rho0)
+            for steps in (0, 1, 100):
+                dense = np.tensordot(np.exp(1j * np.angle(w) * steps) * coeffs,
+                                     ops, axes=(0, 0))
+                assert np.linalg.norm(asymptotic_state(spec, rho0, steps)
+                                      - dense) <= 1e-12
 
     def test_commutant_distance(self):
         for n in (2, 3, 4):

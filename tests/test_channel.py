@@ -1,4 +1,5 @@
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from swapnet.channel import (
     Channel,
     ChannelSpec,
     _mix_product,
+    _states,
     apply_channel,
     build_channel,
     channel_superoperator,
@@ -250,19 +252,27 @@ class TestIterate:
             ch = build_channel(h)
             assert ch.mode == "product" and (ch.sectors is not None) == sectored
             rho = haar_state(3, 12)
-            a = iterate_channel(ch, rho, 5, snapshot_stride=1)
-            kept = {n: s.copy() for n, s in a.snapshots.items()}
+            states = [view.copy() for view, _ in islice(_states(ch, rho), 8)]
+            a = iterate_channel(ch, rho, 5)
             final = a.final_state.copy()
-            b = iterate_channel(ch, rho, 7, snapshot_stride=1)
+            b = iterate_channel(ch, rho, 7)
             assert not np.shares_memory(a.final_state, b.final_state)
+            assert not np.shares_memory(a.final_state, rho)
             assert np.array_equal(a.final_state, final)
-            assert np.array_equal(b.snapshots[5], final)
-            arrays = list(a.snapshots.values()) + [a.final_state]
-            for i, x in enumerate(arrays):
-                for y in arrays[i + 1:]:
-                    assert not np.shares_memory(x, y)
-            for n, s in a.snapshots.items():
-                assert np.array_equal(s, kept[n])
+            assert np.array_equal(final, states[5])
+            assert np.array_equal(b.final_state, states[7])
+
+    def test_results_own_their_memory(self):
+        # in every mode, apply_channel's result and iterate_channel's final
+        # state (zero steps included) share no memory with their input
+        dense = build_network_hamiltonian(3, jx=0.4, jy=0.4, hz=[0.1, 0.13, 0.07])
+        for h, mode in [(ISING3, "product"), (XX3, "product"), (dense, "dense")]:
+            ch = build_channel(h)
+            assert ch.mode == mode
+            rho = haar_state(3, 12)
+            assert not np.shares_memory(apply_channel(ch, rho), rho)
+            for steps in (0, 3):
+                assert not np.shares_memory(iterate_channel(ch, rho, steps).final_state, rho)
 
     def test_dense_stepper_matches_repeated_application(self):
         # the dense stepper reuses two stack buffers; every returned state is
@@ -272,16 +282,14 @@ class TestIterate:
         ch = build_channel(h)
         assert ch.mode == "dense" and ch.sectors is not None
         rho = haar_state(4, 13)
-        traj = iterate_channel(ch, rho, 40, record=("sx",), snapshot_stride=1)
+        states = [state.copy() for state, _ in islice(_states(ch, rho), 41)]
         direct = rho
         for n in range(1, 41):
             direct = apply_channel(ch, direct)
-            assert np.array_equal(traj.snapshots[n], direct)
+            assert np.array_equal(states[n], direct)
+        traj = iterate_channel(ch, rho, 40, record=("sx",))
         assert np.array_equal(traj.final_state, direct)
-        arrays = list(traj.snapshots.values())
-        for i, x in enumerate(arrays):
-            for y in arrays[i + 1:]:
-                assert not np.shares_memory(x, y)
+        assert not np.shares_memory(traj.final_state, iterate_channel(ch, rho, 40).final_state)
 
     def test_invariants_hold_over_long_run(self):
         ch = build_channel(ISING3)
@@ -311,13 +319,6 @@ class TestIterate:
         rho = haar_state(3, 14)
         traj = iterate_channel(ch, rho, 10, record=("loschmidt",))
         assert np.isclose(traj.records["loschmidt"][0], purity(rho))
-
-    def test_snapshots(self):
-        ch = build_channel(ISING3)
-        traj = iterate_channel(ch, haar_state(3, 15), 25, record=("sx",),
-                               snapshot_stride=10)
-        assert sorted(traj.snapshots) == [0, 10, 20]
-        assert np.array_equal(traj.snapshots[0], haar_state(3, 15))
 
     def test_series_accessors(self):
         ch = build_channel(ISING3)
@@ -402,10 +403,10 @@ class TestChargeSectors:
         assert support.sum() == 21              # popcount sectors 1 and 2
         outside = ~np.outer(support, support)
         ch = build_channel(disordered("xx", n, seed=5, j_x=0.4, h=1.0))
-        traj = iterate_channel(ch, rho0, 200, record=("sx",), snapshot_stride=1)
-        for state in traj.snapshots.values():
+        for state, _ in islice(_states(ch, rho0), 201):
             assert np.array_equal(state[outside], np.zeros(outside.sum()))
-        assert np.max(np.abs(traj.final_state[~outside])) > 0.01
+        assert np.max(np.abs(state[~outside])) > 0.01
+        assert np.array_equal(iterate_channel(ch, rho0, 200, record=("sx",)).final_state, state)
 
     def test_support_stepper_matches_apply_channel(self):
         # dense, rotating-frame and diagonal product channels on a start in
@@ -419,13 +420,12 @@ class TestChargeSectors:
                              (clean, "product", 1e-12), (ising, "product", 1e-13)]:
             ch = build_channel(h)
             assert ch.mode == mode and ch.sectors is not None
-            traj = iterate_channel(ch, rho0, 200, record=("sx", "entropy"),
-                                   snapshot_stride=1, validate_stride=1)
+            traj = iterate_channel(ch, rho0, 200, record=("sx", "entropy"), validate_stride=1)
             assert traj.invariants.passed()
             direct = rho0
-            for step in range(1, 201):
+            for step, (state, _) in zip(range(1, 201), islice(_states(ch, rho0), 1, None)):
                 direct = apply_channel(ch, direct)
-                assert np.max(np.abs(traj.snapshots[step] - direct)) <= tol
+                assert np.max(np.abs(state - direct)) <= tol
                 full = entropy_from_eigenvalues(np.linalg.eigvalsh(direct))
                 assert abs(traj.records["entropy"][step] - full) <= 1e-12
 
@@ -463,9 +463,8 @@ class TestChargeSectors:
         assert ch.mode == "dense" and ch.sectors is None
         rho0 = eigenpair_start(build_hamiltonian(HamiltonianSpec(family="tfi", n=n, **couplings)),
                                n, (0, 5))
-        traj = iterate_channel(ch, rho0, 60, record=("sx",), snapshot_stride=1)
-        for step, state in enumerate(full_path(ch, rho0, 60), start=1):
-            assert np.array_equal(traj.snapshots[step], state)
+        for ref, (state, _) in zip(full_path(ch, rho0, 60), islice(_states(ch, rho0), 1, None)):
+            assert np.array_equal(state, ref)
 
 
 class TestSpectralStructure:

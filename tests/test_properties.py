@@ -1,0 +1,94 @@
+"""Channel properties over random small Hamiltonians, drawn with hypothesis.
+
+Every draw is an ising or xx network with n = 2-4 qubits, so the Hamiltonian
+conserves total magnetization. Uniform fields give a product channel (diagonal
+U0 for ising, the rotating frame for xx); distinct per-site fields break the
+swap symmetry and give a dense channel. Runs are derandomized, so the
+examples are the same on every run.
+"""
+
+from itertools import islice
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from swapnet.channel import ChannelSpec, _states, apply_channel, build_channel, channel_superoperator
+from swapnet.core import build_network_hamiltonian
+
+# the families whose uniform or per-site-field networks compile to each mode
+FAMILIES = {"product_diagonal": ["ising"], "product_rotating": ["xx"], "dense": ["ising", "xx"]}
+MODES = tuple(FAMILIES)
+PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=25, deadline=None)
+
+
+def mode_of(ch):
+    if ch.mode == "dense":
+        return "dense"
+    return "product_diagonal" if ch.u0_phases is not None else "product_rotating"
+
+
+@st.composite
+def channels(draw, mode, max_sites):
+    """A compiled channel in `mode` for a random ising or xx network."""
+    n = draw(st.integers(2, max_sites))
+    family = draw(st.sampled_from(FAMILIES[mode]))
+    coupling = draw(st.floats(0.1, 1.0))
+    if mode == "dense":
+        # distinct fields on a 0.1 grid: no swap commutes with H
+        fields = 0.1 * np.array(draw(st.lists(st.integers(-10, 10), min_size=n,
+                                              max_size=n, unique=True)))
+    else:
+        fields = draw(st.floats(-1.0, 1.0))
+    couplings = dict(jz=coupling) if family == "ising" else dict(jx=coupling, jy=coupling)
+    h = build_network_hamiltonian(n, hz=fields, **couplings)
+    spec = ChannelSpec(p0=draw(st.floats(0.05, 0.95)), kappa=draw(st.floats(0.1, 1.5)))
+    ch = build_channel(h, spec)
+    assert mode_of(ch) == mode and ch.sectors is not None
+    return ch
+
+
+def random_complex(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("mode", MODES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_sector_pair_maps_to_itself(mode, data):
+    # Phi(X)[a, b] depends only on X[a, b]: an operand on one sector pair
+    # leaves every other entry exactly zero
+    ch = data.draw(channels(mode, 4))
+    a = data.draw(st.integers(0, ch.n))
+    b = data.draw(st.integers(0, ch.n))
+    rows, cols = ch.sectors[a], ch.sectors[b]
+    x = np.zeros((ch.dim, ch.dim), dtype=complex)
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    x[np.ix_(rows, cols)] = random_complex(rng, (rows.size, cols.size))
+    outside = np.ones((ch.dim, ch.dim), dtype=bool)
+    outside[np.ix_(rows, cols)] = False
+    out = apply_channel(ch, x)
+    assert np.array_equal(out[outside], np.zeros(outside.sum()))
+    assert np.any(out[~outside])
+
+
+@pytest.mark.parametrize("mode", MODES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_stepper_matches_superoperator_powers(mode, data):
+    # 20 lab-frame states of the stepper against S^n vec(rho0), for a pure
+    # start on a random nonempty set of sectors
+    ch = data.draw(channels(mode, 3))
+    kept = data.draw(st.lists(st.integers(0, ch.n), min_size=1, unique=True))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    psi = np.zeros(ch.dim, dtype=complex)
+    for k in kept:
+        psi[ch.sectors[k]] = random_complex(rng, ch.sectors[k].size)
+    psi /= np.linalg.norm(psi)
+    rho0 = np.outer(psi, psi.conj())
+    s = channel_superoperator(ch)
+    vec = rho0.reshape(-1)
+    for state, _ in islice(_states(ch, rho0), 1, 21):
+        vec = s @ vec
+        assert np.max(np.abs(state - vec.reshape(ch.dim, ch.dim))) <= 1e-12
