@@ -17,6 +17,14 @@ index. One stepper per mode (diagonal product, rotating frame, dense) yields
 the iterated states; apply_channel is its step 1 and iterate_channel records
 along it. One kernel conjugates an operand over the blocks it occupies, for
 the dense step and the rotating frame.
+
+The product-form mixer has two halves. Summed over pairs, the partial-swap
+sandwiches give sum_k w_k s_k^2 SW_k rho SW_k, formed pair by pair on
+exchanged tensor axes, plus the commutator i[S, rho] with
+S = sum_k w_k sin(theta_k) cos(theta_k) SW_k. S is real and symmetric, and
+since a swap never changes popcount it is block-diagonal over the popcount
+sectors for every family, whether or not H has sectors. It is compiled once
+per sector, and i[S, rho] costs one real matmul per sector on each side.
 """
 
 from __future__ import annotations
@@ -34,6 +42,7 @@ from .core import (
     entropy_from_eigenvalues,
     pair_list,
     per_entry_values,
+    popcount_sectors,
     single_site_expectations,
     sites_from_dim,
     swap_commutation_residual,
@@ -45,6 +54,10 @@ COMMUTE_TOL = 1e-10
 UNITARY_TOL = 1e-11
 ENTROPY_FLOOR = -1e-10      # a unital channel never lowers entropy; roundoff only
 UNITALITY_TOL = 1e-12
+# Up to this dimension the swap sum S is held as one block of every index:
+# there, two full matmuls cost less than the Python overhead of a pair per
+# popcount sector (one BLAS thread, n=3: 21 against 41 us per mix).
+SWAP_SUM_SECTOR_DIM = 64
 
 
 class ChannelInvariantError(RuntimeError):
@@ -126,12 +139,22 @@ class Channel:
     # per block, the (K, d, d) stack of the mixture members (U0 first) and its
     # conjugate transpose; dense mode only
     members: tuple | None = field(default=None, repr=False)
+    # (indices, real block) of S = sum_k w_k sin(theta_k) cos(theta_k) SW_k
+    # per popcount sector (_swap_sum); product mode only
+    swap_sum: tuple | None = field(default=None, repr=False)
     _phase_mat: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def blocks(self) -> tuple:
         """Index arrays of the blocks: the charge sectors, or every index."""
         return self.sectors or (np.arange(self.dim),)
+
+    @property
+    def frame(self) -> str:
+        """How the channel steps: product_diagonal, product_rotating or dense."""
+        if self.mode == "dense":
+            return "dense"
+        return "product_diagonal" if self.u0_phases is not None else "product_rotating"
 
     def u0_blocks(self) -> list:
         """U0 per block, from the phases of a diagonal H or, in product mode,
@@ -179,6 +202,27 @@ def _partial_swap(u0: list, blocks, n_sites: int, pair, theta: float) -> list:
             for u, idx in zip(u0, blocks)]
 
 
+def _swap_sum(ch: Channel) -> tuple:
+    """(indices, S block) per popcount sector of the real symmetric
+    S = sum_k w_k sin(theta_k) cos(theta_k) SW_k, summed in pair order; one
+    block of every index up to SWAP_SUM_SECTOR_DIM."""
+    theta = ch.kappas * ch.spec.dt
+    coeffs = ch.weights[1:] * np.sin(theta) * np.cos(theta)
+    perms = [swap_permutation(ch.n, m, n) for m, n in ch.pairs]
+    blocks = (popcount_sectors(ch.n) if ch.dim > SWAP_SUM_SECTOR_DIM
+              else (np.arange(ch.dim),))
+    local = np.empty(ch.dim, dtype=np.intp)         # index -> place in its block
+    out = []
+    for idx in blocks:
+        cols = np.arange(idx.size)
+        local[idx] = cols
+        s = np.zeros((idx.size, idx.size))
+        for c, perm in zip(coeffs, perms):
+            s[local[perm[idx]], cols] += c          # SW_k[perm[j], j] = 1
+        out.append((idx, s))
+    return tuple(out)
+
+
 def _rotation(eigen: list, dt: float, n: int) -> list:
     """U0^n per block as (1, d, d) stacks with their adjoints, synthesized as
     V e^{i n dt E} V^dag with the phases reduced mod 2 pi."""
@@ -216,7 +260,8 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
     for _ in range(2):
         weights[0] += 1.0 - weights.sum()
 
-    residuals = [swap_commutation_residual(H, m, n, kappa=kappas[k])
+    nonzero = np.nonzero(H)                 # one scan for every pair's residual
+    residuals = [swap_commutation_residual(H, m, n, kappa=kappas[k], nonzero=nonzero)
                  for k, (m, n) in enumerate(pairs)]
     diag_h = float(np.max(np.abs(H - np.diag(np.diag(H))))) <= 1e-14
     ch = Channel(n=n_sites, dim=dim, spec=spec, pairs=pairs, kappas=kappas,
@@ -226,6 +271,7 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
     blocks = ch.blocks
 
     if ch.mode == "product":
+        ch.swap_sum = _swap_sum(ch)
         if diag_h:
             ch._phase_mat = np.outer(ch.u0_phases, ch.u0_phases.conj())
         else:
@@ -262,33 +308,45 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
 def _mix_product(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """Partial-swap mixing map alone, without the U0 rotation.
 
-    With rho as a (2,)*2N tensor, P rho P, P rho and rho P are views with the
-    axes of sites m and n exchanged, each term formed in one scratch buffer.
-    The coefficient mass is exactly 1 per mixture member (cos^2 stored as
-    1 - sin^2), so the trace survives long iteration without systematic
-    drift. Commutes with conjugation by U0 when the channel is in product form.
+    Each pair gives PSW rho PSW^dag = c^2 rho + s^2 P rho P + i s c [P, rho],
+    and the map has two halves. The c^2 and s^2 terms: with rho as a
+    (2,)*2N tensor, P rho P is a view with the axes of sites m and n
+    exchanged, weighted pair by pair in one scratch buffer; the coefficient
+    mass is exactly 1 per mixture member (cos^2 stored as 1 - sin^2), so the
+    trace survives long iteration without systematic drift. The commutators
+    sum to i[S, rho] (ch.swap_sum), formed in the same buffer block by block
+    of S: rows S rho, then columns rho S = (S rho^T)^T, each one real matmul
+    on the complex entries viewed as float pairs. Commutes with conjugation
+    by U0 in product form.
     """
-    theta = ch.kappas * ch.spec.dt
-    cos_t, sin_t = np.cos(theta), np.sin(theta)
-    sin_sq = sin_t**2
-    cos_sq = 1.0 - sin_sq
+    rho = np.asarray(rho, dtype=complex)
+    sin_sq = np.sin(ch.kappas * ch.spec.dt) ** 2
     w_pairs = ch.weights[1:]
-    diag_coeff = ch.weights[0] + float(np.sum(w_pairs * cos_sq))
+    diag_coeff = ch.weights[0] + float(np.sum(w_pairs * (1.0 - sin_sq)))
     inner = diag_coeff * rho
     tensor = rho.reshape((2,) * (2 * ch.n))
     acc = inner.reshape(tensor.shape)       # a view: adds land in inner
     scratch = np.empty_like(acc)
     for k, (m, n) in enumerate(ch.pairs):
-        p_rho = tensor.swapaxes(m, n)
-        # PSW rho PSW^dag = c^2 rho + s^2 P rho P + i s c (P rho - rho P)
-        np.multiply(w_pairs[k] * sin_sq[k], p_rho.swapaxes(ch.n + m, ch.n + n), out=scratch)
+        np.multiply(w_pairs[k] * sin_sq[k],
+                    tensor.swapaxes(m, n).swapaxes(ch.n + m, ch.n + n), out=scratch)
         acc += scratch
-        sc = w_pairs[k] * sin_t[k] * cos_t[k]
-        if sc != 0.0:
-            np.subtract(p_rho, tensor.swapaxes(ch.n + m, ch.n + n), out=scratch)
-            np.multiply(1j * sc, scratch, out=scratch)
-            acc += scratch
+    comm = scratch.reshape(rho.shape)
+    for idx, s in ch.swap_sum:
+        comm[idx] = _real_matmul(s, rho[idx])
+    for idx, s in ch.swap_sum:
+        rho_s = _real_matmul(s, rho.T[idx]).T      # (rho S)[:, idx]
+        comm[:, idx] -= rho_s
+        del rho_s       # two block temporaries at a time, not three
+    comm *= 1j
+    inner += comm
     return inner
+
+
+def _real_matmul(s: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """s @ x for real s and C-contiguous complex x (a gather), as one real
+    matmul on x's float pairs."""
+    return (s @ x.view(float)).view(complex)
 
 
 def _occupied_blocks(ch: Channel, x: np.ndarray) -> tuple:

@@ -98,6 +98,12 @@ def popcounts(n_sites: int) -> np.ndarray:
     return counts
 
 
+def popcount_sectors(n_sites: int) -> tuple[np.ndarray, ...]:
+    """Basis indices of each popcount k = 0..N; every swap maps each to itself."""
+    counts = popcounts(n_sites)
+    return tuple(np.flatnonzero(counts == k) for k in range(n_sites + 1))
+
+
 def charge_sectors(H: np.ndarray) -> tuple[np.ndarray, ...] | None:
     """Basis indices of each popcount k = 0..N, or None if H mixes popcounts.
 
@@ -110,7 +116,7 @@ def charge_sectors(H: np.ndarray) -> tuple[np.ndarray, ...] | None:
     rows, cols = np.nonzero(H)
     if np.any(counts[rows] != counts[cols]):
         return None
-    return tuple(np.flatnonzero(counts == k) for k in range(n_sites + 1))
+    return popcount_sectors(n_sites)
 
 
 @lru_cache(maxsize=None)
@@ -273,13 +279,18 @@ def entropy_from_eigenvalues(evals: np.ndarray) -> float:
 
 
 def swap_commutation_residual(H: np.ndarray, m: int, n: int,
-                              kappa: float = 1.0) -> float:
-    """Max-norm of [kappa SW_mn, H]; zero iff the pair decouples from H."""
+                              kappa: float = 1.0, *, nonzero=None) -> float:
+    """Max-norm of [kappa SW_mn, H]; zero iff the pair decouples from H.
+
+    SW is a permutation p and an involution, so every nonzero entry of
+    SW H - H SW is +-(H[p r, p c] - H[r, c]) at a nonzero (r, c) of H: the
+    max over H's nonzeros is the full dim^2 max, to the bit. nonzero:
+    np.nonzero(H), when the caller scans H once for many pairs.
+    """
     perm = swap_permutation(sites_from_dim(H.shape[0]), m, n)
-    # H[perm, :] - H[:, perm] holds the entries of SW H - H SW without forming SW
-    comm = H[perm, :]
-    comm -= H[:, perm]
-    return float(abs(kappa) * np.max(np.abs(comm)))
+    rows, cols = np.nonzero(H) if nonzero is None else nonzero
+    diff = H[perm[rows], perm[cols]] - H[rows, cols]
+    return float(abs(kappa) * (np.max(np.abs(diff)) if diff.size else 0.0))
 
 
 def purity(rho: np.ndarray) -> float:

@@ -5,8 +5,9 @@ build the Hamiltonian (optionally disordered), compile the channel, iterate
 from the configured initial state, then write three artifacts into the run
 directory: series.csv (per step and site), spectrum.csv (DFT of the
 configured site/observable after burn-in) and manifest.json (resolved config,
-invariant checks, output checksums). Identical config and seeds reproduce the
-CSV payloads byte for byte.
+invariant checks, output checksums, the channel frame, steps per second and
+the process's peak RSS). Identical config and seeds reproduce the CSV
+payloads byte for byte.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 import time
 from dataclasses import dataclass, field, replace
 from importlib import resources
@@ -315,6 +317,18 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _peak_rss_mb() -> float | None:
+    """Peak RSS of this process so far in MB (getrusage); None where the
+    platform has no resource module (Windows)."""
+    try:
+        import resource
+    except ImportError:
+        return None
+    peak = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    # ru_maxrss counts bytes on macOS and KiB on Linux and the BSDs
+    return round(peak / (2**20 if sys.platform == "darwin" else 2**10), 1)
+
+
 def _series_csv(traj, sites, record) -> bytes:
     lines = [",".join(("step", "site") + OBSERVABLE_NAMES)]
     per_site = {name: traj.records.get(name) for name in SITE_OBSERVABLES}
@@ -356,6 +370,9 @@ class RunManifest:
     spectrum: dict
     outputs: dict
     output_dir: str
+    channel_frame: str          # Channel.frame: product_diagonal, product_rotating or dense
+    steps_per_s: float          # inside iterate_channel, wall clock
+    peak_rss_mb: float | None   # of the whole process so far (_peak_rss_mb)
     disorder_draws: dict | None = None
 
     @property
@@ -372,6 +389,9 @@ class RunManifest:
             "spectrum": self.spectrum,
             "outputs": self.outputs,
             "output_dir": self.output_dir,
+            "channel_frame": self.channel_frame,
+            "steps_per_s": self.steps_per_s,
+            "peak_rss_mb": self.peak_rss_mb,
         }
         if self.disorder_draws is not None:
             out["disorder_draws"] = self.disorder_draws
@@ -414,9 +434,11 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunManifest:
     rho0 = make_initial_state(config.state_spec(), config.n, hamiltonian=h_clean)
 
     validate_stride = 1 if config.n <= 6 else 16
+    t_iterate = time.perf_counter()
     traj = iterate_channel(ch, rho0, config.steps, record=config.record,
                            sites=config.resolved_sites(),
                            validate_stride=validate_stride)
+    steps_per_s = config.steps / (time.perf_counter() - t_iterate)
     traj.invariants.unitality_error = unitality_error(ch)
 
     series = TimeSeries(traj.series("sx", site=config.spectrum_site),
@@ -447,6 +469,9 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunManifest:
             "spectrum.csv": _sha256(spectrum_path),
         },
         output_dir=str(target),
+        channel_frame=ch.frame,
+        steps_per_s=round(steps_per_s, 3),
+        peak_rss_mb=_peak_rss_mb(),
         disorder_draws=draws,
     )
     payload = json.dumps(manifest.to_dict(), indent=2, sort_keys=True,

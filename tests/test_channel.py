@@ -212,7 +212,53 @@ class TestMixer:
         assert ch.mode == "product"
         dim = 2**n
         operand = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        assert np.array_equal(_mix_product(ch, operand), gather_mix(ch, operand))
+        # the commutator half is one matmul per block of the swap sum, which
+        # adds the pairs in another order than the oracle's pair loop
+        err = np.max(np.abs(_mix_product(ch, operand) - gather_mix(ch, operand)))
+        assert err <= 1e-14 * np.max(np.abs(operand))
+
+
+class TestSwapSum:
+    """S = sum_k w_k sin(theta_k) cos(theta_k) SW_k, held per popcount sector."""
+
+    @staticmethod
+    def channel(family, n):
+        rng = np.random.default_rng(n)
+        n_pairs = n * (n - 1) // 2
+        probs = rng.uniform(0.5, 1.5, n_pairs)
+        probs *= 0.7 / probs.sum()
+        kappa = rng.uniform(-1.4, 1.4, n_pairs)
+        kappa[0] = 0.0
+        kw = {"ising": dict(j_z=0.4, h=0.1), "xx": dict(j_x=0.4, h=0.1),
+              "tfi": dict(j_z=0.4, t=0.3)}[family]
+        h = build_hamiltonian(HamiltonianSpec(family=family, n=n, **kw))
+        ch = build_channel(h, ChannelSpec(p0=0.3, pair_probabilities=probs, kappa=kappa))
+        assert ch.mode == "product"
+        return ch
+
+    @pytest.mark.parametrize("n", [2, 3, 7])
+    @pytest.mark.parametrize("family", ["ising", "xx", "tfi"])
+    def test_blocks_equal_dense_sum(self, family, n):
+        ch = self.channel(family, n)
+        theta = ch.kappas * ch.spec.dt
+        coeffs = ch.weights[1:] * np.sin(theta) * np.cos(theta)
+        assert coeffs[0] == 0.0                 # a pair with kappa = 0 adds nothing
+        dense = np.zeros((ch.dim, ch.dim))
+        for c, (m, k) in zip(coeffs, ch.pairs):
+            dense += c * build_swap_operator(m, k, ch.n).real
+        covered = np.zeros((ch.dim, ch.dim), dtype=bool)
+        for idx, s in ch.swap_sum:
+            assert np.array_equal(s, dense[np.ix_(idx, idx)])
+            assert np.array_equal(s, s.T)
+            covered[np.ix_(idx, idx)] = True
+        assert np.concatenate([idx for idx, _ in ch.swap_sum]).size == ch.dim
+        assert np.array_equal(dense[~covered], np.zeros((~covered).sum()))
+        if n == 7:
+            # held per popcount sector, also for tfi, whose H mixes popcounts
+            assert (ch.sectors is None) == (family == "tfi")
+            assert len(ch.swap_sum) == n + 1
+            for idx, _ in ch.swap_sum:
+                assert np.unique(popcounts(n)[idx]).size == 1
 
 
 class TestIterate:

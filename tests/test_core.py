@@ -244,11 +244,17 @@ class TestCommutation:
         else:
             h = build_hamiltonian(HamiltonianSpec(family="xyz", n=n_sites, j_x=0.3,
                                                   j_y=0.2, j_z=0.5, h=0.4))
+        nonzero = np.nonzero(h)
         for m, n in pair_list(n_sites):
             sw = build_swap_operator(m, n, n_sites)
             for kappa in (0.7, -1.3):
                 dense = float(abs(kappa) * np.max(np.abs(sw @ h - h @ sw)))
                 assert swap_commutation_residual(h, m, n, kappa=kappa) == dense
+                assert swap_commutation_residual(h, m, n, kappa=kappa, nonzero=nonzero) == dense
+
+    def test_zero_hamiltonian(self):
+        # no nonzero entry to scan: the residual is 0
+        assert swap_commutation_residual(np.zeros((8, 8), dtype=complex), 0, 2) == 0.0
 
 
 class TestPartialTrace:

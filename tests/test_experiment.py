@@ -171,6 +171,19 @@ class TestRun:
         assert on_disk["outputs"] == manifest.outputs
         assert "disorder_draws" not in on_disk
 
+    def test_manifest_records_frame_speed_and_memory(self, tmp_path):
+        # the diagonal ising channel, and a dense one once disorder breaks
+        # the swap symmetry; the CSVs do not depend on these fields
+        for name, over, frame in [("clean", {}, "product_diagonal"),
+                                  ("disordered", {"disorder": {"epsilon": 0.08, "seed": 2}},
+                                   "dense")]:
+            cfg = ExperimentConfig.from_dict(tiny_config(**over))
+            manifest = run_experiment(cfg, out_dir=tmp_path / name)
+            on_disk = json.loads((tmp_path / name / "manifest.json").read_text())
+            assert on_disk["channel_frame"] == manifest.channel_frame == frame
+            assert on_disk["steps_per_s"] == manifest.steps_per_s > 0.0
+            assert on_disk["peak_rss_mb"] == manifest.peak_rss_mb > 1.0
+
     def test_disordered_run_records_draws(self, tmp_path):
         cfg = ExperimentConfig.from_dict(
             tiny_config(disorder={"epsilon": 0.08, "seed": 2}))

@@ -3,8 +3,9 @@
 Every draw is an ising or xx network with n = 2-4 qubits, so the Hamiltonian
 conserves total magnetization. Uniform fields give a product channel (diagonal
 U0 for ising, the rotating frame for xx); distinct per-site fields break the
-swap symmetry and give a dense channel. Runs are derandomized, so the
-examples are the same on every run.
+swap symmetry and give a dense channel. Operands are random Hermitian,
+unit-trace matrices, positive semidefinite or not. Runs are derandomized, so
+the examples are the same on every run.
 """
 
 from itertools import islice
@@ -14,19 +15,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from swapnet.channel import ChannelSpec, _states, apply_channel, build_channel, channel_superoperator
-from swapnet.core import build_network_hamiltonian
+from swapnet.channel import (
+    ENTROPY_FLOOR,
+    ChannelSpec,
+    _states,
+    apply_channel,
+    build_channel,
+    channel_superoperator,
+)
+from swapnet.core import build_network_hamiltonian, von_neumann_entropy
 
 # the families whose uniform or per-site-field networks compile to each mode
 FAMILIES = {"product_diagonal": ["ising"], "product_rotating": ["xx"], "dense": ["ising", "xx"]}
 MODES = tuple(FAMILIES)
 PROPERTY_SETTINGS = settings(derandomize=True, database=None, max_examples=25, deadline=None)
-
-
-def mode_of(ch):
-    if ch.mode == "dense":
-        return "dense"
-    return "product_diagonal" if ch.u0_phases is not None else "product_rotating"
 
 
 @st.composite
@@ -45,7 +47,7 @@ def channels(draw, mode, max_sites):
     h = build_network_hamiltonian(n, hz=fields, **couplings)
     spec = ChannelSpec(p0=draw(st.floats(0.05, 0.95)), kappa=draw(st.floats(0.1, 1.5)))
     ch = build_channel(h, spec)
-    assert mode_of(ch) == mode and ch.sectors is not None
+    assert ch.frame == mode and ch.sectors is not None
     return ch
 
 
@@ -92,3 +94,30 @@ def test_stepper_matches_superoperator_powers(mode, data):
     for state, _ in islice(_states(ch, rho0), 1, 21):
         vec = s @ vec
         assert np.max(np.abs(state - vec.reshape(ch.dim, ch.dim))) <= 1e-12
+
+
+@pytest.mark.parametrize("mode", MODES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_trace_hermiticity_and_entropy(mode, data):
+    # three steps from a random Hermitian unit-trace operand keep the trace
+    # and Hermiticity; from a state (rank r, PSD) the entropy never falls
+    ch = data.draw(channels(mode, 4))
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
+    psd = data.draw(st.booleans())
+    if psd:
+        g = random_complex(rng, (ch.dim, data.draw(st.integers(1, ch.dim))))
+        x = g @ g.conj().T
+        x /= np.trace(x).real
+    else:
+        g = random_complex(rng, (ch.dim, ch.dim))
+        x = 0.5 * (g + g.conj().T)
+        x += (1.0 - np.trace(x).real) / ch.dim * np.eye(ch.dim)
+    entropy = von_neumann_entropy(x)
+    for state, _ in islice(_states(ch, x), 1, 4):
+        assert abs(np.trace(state) - 1.0) <= 1e-14
+        assert np.max(np.abs(state - state.conj().T)) <= 1e-14
+        if psd:
+            after = von_neumann_entropy(state)
+            assert after - entropy >= ENTROPY_FLOOR
+            entropy = after
