@@ -194,8 +194,7 @@ def criterion_04_oracle_equivalence(quick: bool = False) -> CriterionResult:
             worst = max(worst, _match_multisets(projected.eigenvalues,
                                                 unimodular))
             if name == "ising":
-                analytic = ising_attractor_spectrum(
-                    n, 0.4, 0.1, include_operators=False)
+                analytic = ising_attractor_spectrum(n, 0.4, 0.1)
                 worst_ising = max(
                     worst_ising,
                     _match_multisets(analytic.eigenvalues,

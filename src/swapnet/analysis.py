@@ -6,8 +6,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .channel import SITE_OBSERVABLES
-
 PEAK_FRACTION = 0.05    # spectral peaks reach at least this share of the largest bin
 
 
@@ -30,15 +28,6 @@ class TimeSeries:
 
     def post_burn_in(self) -> np.ndarray:
         return self.values[self.burn_in:]
-
-
-def extract_site_series(traj, site: int, observable: str,
-                        burn_in: int = 0) -> TimeSeries:
-    """Pull one recorded per-site (or run-level) observable from a trajectory."""
-    return TimeSeries(values=traj.series(observable, site=site)
-                      if observable in SITE_OBSERVABLES
-                      else traj.series(observable),
-                      burn_in=burn_in)
 
 
 def loschmidt_echo(rho0: np.ndarray, rho_n: np.ndarray) -> float:

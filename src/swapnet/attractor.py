@@ -152,7 +152,7 @@ class AttractorSpectrum:
     """
 
     eigenvalues: np.ndarray
-    coordinates: np.ndarray | None     # (K, K), or None
+    coordinates: np.ndarray            # (K, K)
     classes: list | None               # ClassIndex per entry (analytic case)
     n_sites: int
 
@@ -176,10 +176,8 @@ class AttractorSpectrum:
         return degen
 
     @property
-    def operators(self) -> np.ndarray | None:
+    def operators(self) -> np.ndarray:
         """(K, dim, dim) stack of the eigen-operators, built on each access."""
-        if self.coordinates is None:
-            return None
         return _from_class_coordinates(self.coordinates, self.n_sites)
 
     def __len__(self) -> int:
@@ -187,8 +185,7 @@ class AttractorSpectrum:
 
 
 def ising_attractor_spectrum(n_sites: int, j_z: float, h: float,
-                             dt: float = 1.0,
-                             include_operators: bool = True) -> AttractorSpectrum:
+                             dt: float = 1.0) -> AttractorSpectrum:
     """Analytic spectrum: each class carries nu = e^{i[eps(M_up)-eps(M_low)]dt}.
 
     Classes whose upper and lower indices share a magnetization are exactly
@@ -205,8 +202,8 @@ def ising_attractor_spectrum(n_sites: int, j_z: float, h: float,
         else:
             phase = ising_energy(m_up, n_sites, j_z, h) - ising_energy(m_low, n_sites, j_z, h)
             eigenvalues[k] = np.exp(1j * phase * dt)
-    coordinates = np.eye(len(classes), dtype=complex) if include_operators else None
-    return AttractorSpectrum(eigenvalues=eigenvalues, coordinates=coordinates,
+    return AttractorSpectrum(eigenvalues=eigenvalues,
+                             coordinates=np.eye(len(classes), dtype=complex),
                              classes=classes, n_sites=n_sites)
 
 
@@ -303,8 +300,6 @@ class AttractorExpansion:
 
 
 def attractor_expansion(spectrum: AttractorSpectrum, rho0: np.ndarray) -> AttractorExpansion:
-    if spectrum.coordinates is None:
-        raise ValueError("spectrum was built without operators")
     coeffs = spectrum.coordinates.conj() @ _class_coordinates(rho0, spectrum.n_sites)
     return AttractorExpansion(spectrum=spectrum, coefficients=coeffs)
 

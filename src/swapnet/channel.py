@@ -13,10 +13,12 @@ fixed pair order, so iterated runs are bitwise reproducible.
 
 Every unitary is held only as its blocks: the popcount sectors when H
 conserves total magnetization (core.charge_sectors), else one block of every
-index. One stepper per mode (diagonal product, rotating frame, dense) yields
-the iterated states; apply_channel is its step 1 and iterate_channel records
-along it. One kernel conjugates an operand over the blocks it occupies, for
-the dense step and the rotating frame.
+index. One stepper per mode yields the iterated states; apply_channel is its
+step 1 and iterate_channel records along it. A product channel steps in the
+rotating frame, where only the mixer touches the state, and forms the
+lab-frame view from U0's spectrum: elementwise phases for a diagonal H, else
+U0^n on the occupied blocks. One kernel conjugates an operand over the blocks
+it occupies, for the dense step and the rotating frame's view.
 
 The product-form mixer has two halves. Summed over pairs, the partial-swap
 sandwiches give sum_k w_k s_k^2 SW_k rho SW_k, formed pair by pair on
@@ -142,7 +144,6 @@ class Channel:
     # (indices, real block) of S = sum_k w_k sin(theta_k) cos(theta_k) SW_k
     # per popcount sector (_swap_sum); product mode only
     swap_sum: tuple | None = field(default=None, repr=False)
-    _phase_mat: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def blocks(self) -> tuple:
@@ -151,7 +152,9 @@ class Channel:
 
     @property
     def frame(self) -> str:
-        """How the channel steps: product_diagonal, product_rotating or dense."""
+        """How U0 is held: product_diagonal (diagonal phases) or
+        product_rotating (per-block eigenpairs), both stepped in the rotating
+        frame, or dense."""
         if self.mode == "dense":
             return "dense"
         return "product_diagonal" if self.u0_phases is not None else "product_rotating"
@@ -272,9 +275,7 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
 
     if ch.mode == "product":
         ch.swap_sum = _swap_sum(ch)
-        if diag_h:
-            ch._phase_mat = np.outer(ch.u0_phases, ch.u0_phases.conj())
-        else:
+        if not diag_h:
             eigen = (np.linalg.eigh(H[np.ix_(idx, idx)]) for idx in blocks)
             ch.u0_eigen = tuple((e, v, v.conj().T.copy()) for e, v in eigen)
         _check_unitary(ch.u0_blocks())
@@ -379,34 +380,41 @@ def _states(ch: Channel, rho0: np.ndarray):
     """Yield (lab-frame state, checked state) for n = 0, 1, 2, ... applications:
     the checked state is the un-rotated sigma that the trace, Hermiticity and
     spectrum checks read. Every member is block-diagonal, so sigma stays
-    exactly zero outside the blocks rho0 occupies, and the dense and rotating
-    steppers work on those alone. A yielded array may be reused by the next step.
+    exactly zero outside the blocks rho0 occupies, and the dense stepper and
+    the rotating frame's view work on those alone. A yielded array may be
+    reused by the next step.
     """
     sigma = np.array(rho0, dtype=complex)
     yield sigma, sigma
-    if ch._phase_mat is not None:       # diagonal U0: each step is apply_channel
-        while True:
-            sigma = apply_channel(ch, sigma)
-            yield sigma, sigma
     occupied, gather = _occupied_blocks(ch, sigma)
     if ch.mode == "dense":
         stepper = _dense_steps(ch, sigma, [ch.members[b] for b in occupied], gather)
     else:
-        stepper = _rotating_steps(ch, sigma, [ch.u0_eigen[b] for b in occupied], gather)
+        stepper = _rotating_steps(ch, sigma, occupied, gather)
     del sigma                           # the stepper alone holds the state
     yield from stepper
 
 
-def _rotating_steps(ch: Channel, sigma: np.ndarray, eigen: list, gather: tuple):
-    """Non-diagonal product channel, in the rotating frame: only the mixer
-    touches sigma, and U0^n is synthesized on the occupied blocks for the
-    lab-frame view, so sandwich roundoff stays out of sigma."""
+def _rotating_steps(ch: Channel, sigma: np.ndarray, occupied: list, gather: tuple):
+    """Product channel, in the rotating frame: only the mixer touches sigma,
+    so sandwich roundoff stays out of it. The lab-frame view U0^n sigma U0^-n
+    multiplies by the phases e^{i mod(n E dt, 2 pi)} of a diagonal U0, or
+    synthesizes U0^n on the occupied blocks."""
     view = np.zeros_like(sigma)
-    left = np.empty((1, gather[0].size, gather[0].size), dtype=complex)
+    if ch.u0_phases is not None:
+        angles = np.angle(ch.u0_phases)                # E dt, reduced
+    else:
+        eigen = [ch.u0_eigen[b] for b in occupied]
+        left = np.empty((1, gather[0].size, gather[0].size), dtype=complex)
     for n in count(1):
         sigma = _mix_product(ch, sigma)
-        frame = _rotation(eigen, ch.spec.dt, n)
-        view[gather] = _conjugate_blocks(frame, np.ones(1), sigma[gather], left, None)[0]
+        if ch.u0_phases is not None:
+            phases = np.exp(1j * np.mod(n * angles, 2.0 * np.pi))
+            np.multiply(sigma, phases[:, None], out=view)
+            view *= phases.conj()
+        else:
+            frame = _rotation(eigen, ch.spec.dt, n)
+            view[gather] = _conjugate_blocks(frame, np.ones(1), sigma[gather], left, None)[0]
         yield view, sigma
 
 
@@ -426,8 +434,6 @@ def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """One application Phi(rho) of any operator: step 1 of the stepper."""
     if rho.shape != (ch.dim, ch.dim):
         raise ValueError(f"operand shape {rho.shape} does not match dim {ch.dim}")
-    if ch._phase_mat is not None:
-        return ch._phase_mat * _mix_product(ch, rho)
     return next(islice(_states(ch, rho), 1, None))[0]
 
 

@@ -197,9 +197,15 @@ class ExperimentConfig:
                 "need at least 256 post-burn-in records for the spectrum "
                 f"(steps={self.steps}, burn_in={self.burn_in})")
         self.hamiltonian_spec()   # family/coupling validation
-        kind = self.initial_state.get("kind")
-        if kind == "eigenpair_superposition" and "pair" not in self.initial_state:
-            raise ConfigError("eigenpair_superposition needs a pair")
+        try:    # per-pair maps and normalization, against n
+            self.channel_spec().resolve(self.n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
+        if self.initial_state.get("kind") == "eigenpair_superposition":
+            pair = self.initial_state.get("pair")
+            if pair is None or max(pair) >= 2**self.n:
+                raise ConfigError("eigenpair_superposition needs a pair of "
+                                  f"indices below 2^n = {2**self.n}, got {pair}")
 
     def resolve_seeds(self, seed_override: int | None = None) -> "ExperimentConfig":
         """Fill in per-component seeds from the master seed or an override."""
@@ -239,12 +245,12 @@ class ExperimentConfig:
 
     def channel_spec(self) -> ChannelSpec:
         ch = dict(self.channel)
-        for key in ("pair_probabilities", "kappa"):
-            value = ch.get(key)
-            if isinstance(value, dict):
-                ch[key] = {tuple(int(x) for x in k.split(",")): v
-                           for k, v in value.items()}
         try:
+            for key in ("pair_probabilities", "kappa"):
+                value = ch.get(key)
+                if isinstance(value, dict):
+                    ch[key] = {tuple(int(x) for x in k.split(",")): v
+                               for k, v in value.items()}
             return ChannelSpec(**ch)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
@@ -370,7 +376,8 @@ class RunManifest:
     spectrum: dict
     outputs: dict
     output_dir: str
-    channel_frame: str          # Channel.frame: product_diagonal, product_rotating or dense
+    channel_frame: str          # Channel.frame: U0 as product_diagonal phases or
+                                # product_rotating eigenpairs, or dense
     steps_per_s: float          # inside iterate_channel, wall clock
     peak_rss_mb: float | None   # of the whole process so far (_peak_rss_mb)
     disorder_draws: dict | None = None

@@ -5,7 +5,6 @@ from swapnet.analysis import (
     TimeSeries,
     autocorrelation_at_lag,
     best_commensurate_lag,
-    extract_site_series,
     fit_decay_envelope,
     loschmidt_echo,
     spectrum_of_series,
@@ -161,8 +160,8 @@ class TestExtraction:
                                make_initial_state(StateSpec(kind="haar_random_pure",
                                                             seed=4), 2),
                                50, record=("sx", "entropy"))
-        ts = extract_site_series(traj, 1, "sx", burn_in=10)
+        ts = TimeSeries(traj.series("sx", site=1), burn_in=10)
         assert np.array_equal(ts.values, traj.records["sx"][:, 1])
         assert ts.burn_in == 10
-        ent = extract_site_series(traj, 0, "entropy")
+        ent = TimeSeries(traj.series("entropy"))
         assert np.array_equal(ent.values, traj.records["entropy"])

@@ -371,11 +371,6 @@ class TestAsymptotics:
         assert d0 > 0.1
         assert d_late < 0.1 * d0
 
-    def test_requires_operators(self):
-        spec = ising_attractor_spectrum(2, 0.4, 0.1, include_operators=False)
-        with pytest.raises(ValueError):
-            attractor_expansion(spec, np.eye(4, dtype=complex) / 4)
-
 
 class TestSingleSiteFrequencies:
     def test_three_qubits(self):

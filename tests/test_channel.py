@@ -279,10 +279,11 @@ class TestIterate:
         assert np.array_equal(a.records["sx"], b.records["sx"])
 
     def test_rotating_frame_matches_direct_application(self):
-        # product channel with non-diagonal U0 iterates in the rotating frame;
-        # the recorded view must agree with literal repeated application, both
-        # per popcount sector (xx) and over the one block of every index (tfi)
-        for h, sectored in [(XX3, True), (TFI3, False)]:
+        # every product channel iterates in the rotating frame; the recorded
+        # view must agree with literal repeated application, for a diagonal U0
+        # (ising), per popcount sector (xx) and over the one block of every
+        # index (tfi)
+        for h, sectored in [(ISING3, True), (XX3, True), (TFI3, False)]:
             ch = build_channel(h)
             assert ch.mode == "product" and (ch.sectors is not None) == sectored
             rho = haar_state(3, 10)
@@ -294,7 +295,7 @@ class TestIterate:
 
     def test_rotating_frame_results_not_aliased(self):
         # the frame buffers are reused across steps; returned arrays must not be
-        for h, sectored in [(XX3, True), (TFI3, False)]:
+        for h, sectored in [(ISING3, True), (XX3, True), (TFI3, False)]:
             ch = build_channel(h)
             assert ch.mode == "product" and (ch.sectors is not None) == sectored
             rho = haar_state(3, 12)
@@ -346,6 +347,15 @@ class TestIterate:
         assert rep.passed()
         assert rep.max_trace_error <= 1e-12
         assert rep.min_entropy_increment >= -1e-10
+
+    def test_diagonal_frame_holds_laws_over_a_long_run(self):
+        # fig2's model and start: 4608 steps of the diagonal product channel
+        # keep trace and Hermiticity at roundoff
+        ch = build_channel(ISING3)
+        assert ch.frame == "product_diagonal"
+        traj = iterate_channel(ch, haar_state(3, 7), 4608, record=("sx",), validate_stride=1)
+        assert traj.invariants.max_trace_error <= 1e-14
+        assert traj.invariants.max_hermiticity_error <= 1e-14
 
     def test_entropy_monotone_nondecreasing(self):
         ch = build_channel(XX3)

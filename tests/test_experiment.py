@@ -231,6 +231,18 @@ class TestCli:
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("over", [
+        {"n": 3, "sites": [0, 1], "channel": {"kappa": {"0,1": 1.0}}},
+        {"channel": {"p0": 0.2, "pair_probabilities": [0.5]}},
+        {"initial_state": {"kind": "eigenpair_superposition", "pair": [1, 4]}},
+    ], ids=["kappa_missing_pairs", "probabilities_not_normalized", "pair_out_of_range"])
+    def test_unresolvable_config_exits_before_writing(self, over, tmp_path, capsys):
+        # schema-valid configs that the channel or initial state cannot take
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(tiny_config(**over)))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        assert not (tmp_path / "out").exists()
+
     def test_n_override_rejected_for_config_runs(self, tmp_path, capsys):
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(tiny_config()))

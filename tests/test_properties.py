@@ -1,11 +1,12 @@
 """Channel properties over random small Hamiltonians, drawn with hypothesis.
 
 Every draw is an ising or xx network with n = 2-4 qubits, so the Hamiltonian
-conserves total magnetization. Uniform fields give a product channel (diagonal
-U0 for ising, the rotating frame for xx); distinct per-site fields break the
-swap symmetry and give a dense channel. Operands are random Hermitian,
-unit-trace matrices, positive semidefinite or not. Runs are derandomized, so
-the examples are the same on every run.
+conserves total magnetization. Uniform fields give a product channel, which
+steps in the rotating frame (U0 held as diagonal phases for ising, as per-block
+eigenpairs for xx); distinct per-site fields break the swap symmetry and give a
+dense channel. Operands are random Hermitian, unit-trace matrices, positive
+semidefinite or not. Runs are derandomized, so the examples are the same on
+every run.
 """
 
 from itertools import islice
@@ -22,8 +23,9 @@ from swapnet.channel import (
     apply_channel,
     build_channel,
     channel_superoperator,
+    unitality_error,
 )
-from swapnet.core import build_network_hamiltonian, von_neumann_entropy
+from swapnet.core import EIGENVALUE_FLOOR, build_network_hamiltonian, von_neumann_entropy
 
 # the families whose uniform or per-site-field networks compile to each mode
 FAMILIES = {"product_diagonal": ["ising"], "product_rotating": ["xx"], "dense": ["ising", "xx"]}
@@ -101,7 +103,8 @@ def test_stepper_matches_superoperator_powers(mode, data):
 @given(data=st.data())
 def test_trace_hermiticity_and_entropy(mode, data):
     # three steps from a random Hermitian unit-trace operand keep the trace
-    # and Hermiticity; from a state (rank r, PSD) the entropy never falls
+    # and Hermiticity; a state (rank r, PSD) stays positive, in the lab frame
+    # and in the frame the checks read, and its entropy never falls
     ch = data.draw(channels(mode, 4))
     rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1)))
     psd = data.draw(st.booleans())
@@ -114,10 +117,20 @@ def test_trace_hermiticity_and_entropy(mode, data):
         x = 0.5 * (g + g.conj().T)
         x += (1.0 - np.trace(x).real) / ch.dim * np.eye(ch.dim)
     entropy = von_neumann_entropy(x)
-    for state, _ in islice(_states(ch, x), 1, 4):
+    for state, sigma in islice(_states(ch, x), 1, 4):
         assert abs(np.trace(state) - 1.0) <= 1e-14
         assert np.max(np.abs(state - state.conj().T)) <= 1e-14
         if psd:
+            assert np.linalg.eigvalsh(state)[0] >= EIGENVALUE_FLOOR
+            assert np.linalg.eigvalsh(sigma)[0] >= EIGENVALUE_FLOOR
             after = von_neumann_entropy(state)
             assert after - entropy >= ENTROPY_FLOOR
             entropy = after
+
+
+@pytest.mark.parametrize("mode", MODES)
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_unitality(mode, data):
+    # Phi(I/dim) = I/dim at roundoff
+    assert unitality_error(data.draw(channels(mode, 4))) <= 1e-14
