@@ -15,12 +15,10 @@ from .core import (
     make_initial_state,
     pair_list,
     partial_trace,
-    purity,
     single_site_expectations,
     swap_commutation_residual,
     total_magnetization_expectation,
     validate_density_matrix,
-    von_neumann_entropy,
 )
 from .channel import (
     Channel,
@@ -38,7 +36,6 @@ from .attractor import (
     AttractorSpectrum,
     ClassIndex,
     asymptotic_state,
-    attractor_expansion,
     build_gamma,
     commutant_distance,
     enumerate_classes,
@@ -54,7 +51,6 @@ from .symmetry import (
     find_dynamical_symmetries,
     predict_observable_series,
     symmetric_sector_basis,
-    symmetry_expansion,
     verify_dynamical_symmetry,
 )
 from .analysis import (
@@ -88,20 +84,19 @@ __all__ = [
     "DimensionCapError", "HamiltonianSpec", "StateSpec",
     "build_hamiltonian", "build_network_hamiltonian", "build_swap_operator",
     "magnetization_values", "make_initial_state", "pair_list",
-    "partial_trace", "purity", "single_site_expectations",
+    "partial_trace", "single_site_expectations",
     "swap_commutation_residual", "total_magnetization_expectation",
-    "validate_density_matrix", "von_neumann_entropy",
+    "validate_density_matrix",
     "Channel", "ChannelInvariantError", "ChannelSpec", "InvariantReport",
     "Trajectory", "apply_channel", "build_channel", "channel_superoperator",
     "iterate_channel", "unitality_error",
     "AttractorSpectrum", "ClassIndex", "asymptotic_state",
-    "attractor_expansion", "build_gamma", "commutant_distance",
+    "build_gamma", "commutant_distance",
     "enumerate_classes", "general_attractor_spectrum",
     "ising_attractor_spectrum", "reduce_gamma", "single_site_frequencies",
     "DynamicalSymmetry", "SymmetricSectorBasis", "clean_tc_state",
     "find_dynamical_symmetries", "predict_observable_series",
-    "symmetric_sector_basis", "symmetry_expansion",
-    "verify_dynamical_symmetry",
+    "symmetric_sector_basis", "verify_dynamical_symmetry",
     "Spectrum", "TimeSeries", "autocorrelation_at_lag",
     "best_commensurate_lag", "fit_decay_envelope", "loschmidt_echo",
     "spectrum_of_series",

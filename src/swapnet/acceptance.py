@@ -462,13 +462,13 @@ CRITERIA = (
 )
 
 
-def run_all(quick: bool = False, stream=None) -> list:
+def run_all(quick: bool = False) -> list:
     """Run all criteria in order, printing one line each with its wall time."""
     results = []
     for fn in CRITERIA:
         t0 = time.perf_counter()
         result = fn(quick=quick)
         seconds = time.perf_counter() - t0
-        print(f"{result.line()}  [{seconds:.1f} s]", file=stream, flush=True)
+        print(f"{result.line()}  [{seconds:.1f} s]", flush=True)
         results.append(result)
     return results

@@ -7,6 +7,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 PEAK_FRACTION = 0.05    # spectral peaks reach at least this share of the largest bin
+MIN_EXTREMA = 20        # envelope fits need at least this many usable extrema
 
 
 @dataclass
@@ -51,8 +52,7 @@ class Spectrum:
     peaks: list                      # (frequency, magnitude) pairs
     length: int
     resolution: float
-    peak_fraction: float
-    is_peak: np.ndarray = field(repr=False, default=None)
+    is_peak: np.ndarray = field(repr=False)
 
     @property
     def peak_frequencies(self) -> np.ndarray:
@@ -61,6 +61,23 @@ class Spectrum:
 
 def _largest_power_of_two(n: int) -> int:
     return 1 << (int(n).bit_length() - 1)
+
+
+def _peak_bins(mags: np.ndarray) -> np.ndarray:
+    """Peak flags of a magnitude spectrum whose largest bin is positive.
+
+    A bin past the DC bin is a candidate when it is at least both neighbours
+    and at least PEAK_FRACTION times the largest bin; it is a peak when the
+    previous bin is not an equal-height candidate, so an equal-height run
+    keeps only its first bin.
+    """
+    right = np.append(mags[2:], -np.inf)
+    candidate = np.zeros(len(mags), dtype=bool)
+    candidate[1:] = ((mags[1:] >= mags[:-1]) & (mags[1:] >= right)
+                     & (mags[1:] >= PEAK_FRACTION * mags.max()))
+    plateau = np.zeros(len(mags), dtype=bool)
+    plateau[1:] = candidate[:-1] & (mags[1:] == mags[:-1])
+    return candidate & ~plateau
 
 
 def spectrum_of_series(ts: TimeSeries) -> Spectrum:
@@ -85,23 +102,12 @@ def spectrum_of_series(ts: TimeSeries) -> Spectrum:
     if length % 2 == 0:
         mags[-1] /= np.sqrt(2.0)
 
-    is_peak = np.zeros(n_bins, dtype=bool)
-    if mags.max() > 0.0:
-        floor = PEAK_FRACTION * mags.max()
-        for k in range(1, n_bins):
-            left = mags[k] >= mags[k - 1]
-            right = mags[k] >= mags[k + 1] if k + 1 < n_bins else True
-            if left and right and mags[k] >= floor:
-                is_peak[k] = True
-        # collapse plateaus: keep only the first bin of equal-height runs
-        for k in range(1, n_bins):
-            if is_peak[k] and is_peak[k - 1] and mags[k] == mags[k - 1]:
-                is_peak[k] = False
+    is_peak = _peak_bins(mags) if mags.max() > 0.0 else np.zeros(n_bins, dtype=bool)
 
     peaks = [(float(freqs[k]), float(mags[k])) for k in np.nonzero(is_peak)[0]]
     return Spectrum(frequencies=freqs, magnitudes=mags, peaks=peaks,
                     length=length, resolution=2.0 * np.pi / length,
-                    peak_fraction=PEAK_FRACTION, is_peak=is_peak)
+                    is_peak=is_peak)
 
 
 @dataclass
@@ -114,7 +120,7 @@ class DecayFit:
     n_extrema: int
 
 
-def fit_decay_envelope(ts: TimeSeries, min_extrema: int = 20) -> DecayFit:
+def fit_decay_envelope(ts: TimeSeries) -> DecayFit:
     """Fit log|envelope| to a line through successive oscillation extrema."""
     data = ts.post_burn_in()
     centered = np.abs(data - data.mean())
@@ -126,8 +132,8 @@ def fit_decay_envelope(ts: TimeSeries, min_extrema: int = 20) -> DecayFit:
     idx = np.nonzero(mask)[0] + 1
     # ignore near-zero crossings picked up as flat extrema
     idx = idx[centered[idx] > 1e-12 * max(centered.max(), 1e-300)]
-    if len(idx) < min_extrema:
-        raise ValueError(f"only {len(idx)} usable extrema, need {min_extrema}")
+    if len(idx) < MIN_EXTREMA:
+        raise ValueError(f"only {len(idx)} usable extrema, need {MIN_EXTREMA}")
 
     log_env = np.log(centered[idx])
     coeffs = np.polyfit(idx.astype(float), log_env, 1)

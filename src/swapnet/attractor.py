@@ -148,12 +148,13 @@ class AttractorSpectrum:
     """Unimodular eigenvalues with orthonormal eigen-operators.
 
     The eigen-operators are held as class coordinates: operator k is
-    sum_b coordinates[k, b] Gamma_b.
+    sum_b coordinates[k, b] Gamma_b. In the analytic (Ising) spectrum the
+    coordinates are the identity, so entry k is the class
+    enumerate_classes(n_sites)[k].
     """
 
     eigenvalues: np.ndarray
     coordinates: np.ndarray            # (K, K)
-    classes: list | None               # ClassIndex per entry (analytic case)
     n_sites: int
 
     @property
@@ -204,7 +205,7 @@ def ising_attractor_spectrum(n_sites: int, j_z: float, h: float,
             eigenvalues[k] = np.exp(1j * phase * dt)
     return AttractorSpectrum(eigenvalues=eigenvalues,
                              coordinates=np.eye(len(classes), dtype=complex),
-                             classes=classes, n_sites=n_sites)
+                             n_sites=n_sites)
 
 
 def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0) -> AttractorSpectrum:
@@ -282,31 +283,18 @@ def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0) -> AttractorSpect
         if not np.array_equal(labels[perm][:, perm], labels):
             raise ValueError(f"class labels not invariant under swap ({m},{n})")
 
-    return AttractorSpectrum(eigenvalues=w, coordinates=v.T, classes=None, n_sites=n_sites)
-
-
-@dataclass
-class AttractorExpansion:
-    """Initial-state overlaps with the attractor basis, lambda_k = (Gamma_k, rho0)."""
-
-    spectrum: AttractorSpectrum
-    coefficients: np.ndarray
-
-    def state_at(self, n: int) -> np.ndarray:
-        phases = np.angle(self.spectrum.eigenvalues)
-        weights = np.exp(1j * phases * n) * self.coefficients
-        return _from_class_coordinates(weights @ self.spectrum.coordinates,
-                                       self.spectrum.n_sites)
-
-
-def attractor_expansion(spectrum: AttractorSpectrum, rho0: np.ndarray) -> AttractorExpansion:
-    coeffs = spectrum.coordinates.conj() @ _class_coordinates(rho0, spectrum.n_sites)
-    return AttractorExpansion(spectrum=spectrum, coefficients=coeffs)
+    return AttractorSpectrum(eigenvalues=w, coordinates=v.T, n_sites=n_sites)
 
 
 def asymptotic_state(spectrum: AttractorSpectrum, rho0: np.ndarray, n: int) -> np.ndarray:
-    """Late-time state sum_k nu_k^n (Gamma_k, rho0) Gamma_k."""
-    return attractor_expansion(spectrum, rho0).state_at(n)
+    """Late-time state sum_k nu_k^n (A_k, rho0) A_k over the eigen-operators A_k.
+
+    The overlaps (A_k, rho0) hold the memory of the initial state; n = 0
+    gives the projection of rho0 onto the attractor span.
+    """
+    overlaps = spectrum.coordinates.conj() @ _class_coordinates(rho0, spectrum.n_sites)
+    weights = np.exp(1j * spectrum.phases * n) * overlaps
+    return _from_class_coordinates(weights @ spectrum.coordinates, spectrum.n_sites)
 
 
 def commutant_distance(rho: np.ndarray) -> float:

@@ -31,7 +31,7 @@ per sector, and i[S, rho] costs one real matmul per sector on each side.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from itertools import accumulate, count, islice
 
 import numpy as np
@@ -478,16 +478,11 @@ class InvariantReport:
         return bool(ok)
 
     def summary(self) -> dict:
-        return {
-            "checked_steps": self.checked_steps,
-            "max_trace_error": self.max_trace_error,
-            "max_hermiticity_error": self.max_hermiticity_error,
-            "min_eigenvalue": self.min_eigenvalue,
-            "min_entropy_increment": (None if not np.isfinite(self.min_entropy_increment)
-                                      else self.min_entropy_increment),
-            "unitality_error": self.unitality_error,
-            "passed": self.passed(),
-        }
+        out = asdict(self)
+        if not np.isfinite(self.min_entropy_increment):
+            out["min_entropy_increment"] = None
+        out["passed"] = self.passed()
+        return out
 
 
 SITE_OBSERVABLES = ("sx", "sy", "sz")                  # recorded per site

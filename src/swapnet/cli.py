@@ -47,7 +47,7 @@ def _build_parser() -> argparse.ArgumentParser:
     source.add_argument("--config", metavar="PATH",
                         help="JSON experiment config")
     source.add_argument("--preset", metavar="NAME",
-                        choices=PRESET_NAMES + ("acceptance",),
+                        choices=PRESET_NAMES,
                         help="shipped preset name")
     run.add_argument("--n", type=int, metavar="N",
                      help="override network size (preset runs only)")
@@ -65,10 +65,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_run(args) -> int:
-    if args.preset == "acceptance":
-        if args.n is not None or args.seed is not None or args.out is not None:
-            raise ConfigError("the acceptance preset takes no overrides")
-        return _cmd_acceptance(quick=False)
     if args.config is not None:
         if args.n is not None:
             raise ConfigError("--n applies to preset runs only")
@@ -103,7 +99,7 @@ def main(argv=None) -> int:
         if args.command == "acceptance":
             return _cmd_acceptance(quick=args.quick)
         if args.command == "list-presets":
-            for name in PRESET_NAMES + ("acceptance",):
+            for name in PRESET_NAMES:
                 print(f"{name:12s} {PRESET_SUMMARIES[name]}")
             return EXIT_OK
     except ConfigError as exc:

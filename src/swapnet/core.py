@@ -267,12 +267,9 @@ def partial_trace(rho: np.ndarray, drop) -> np.ndarray:
     return tensor.reshape(dim, dim)
 
 
-def von_neumann_entropy(rho: np.ndarray) -> float:
-    """S = -sum lambda ln lambda with eigenvalues clipped at zero."""
-    return entropy_from_eigenvalues(np.linalg.eigvalsh(rho))
-
-
 def entropy_from_eigenvalues(evals: np.ndarray) -> float:
+    """Von Neumann entropy S = -sum lambda ln lambda of a state's eigenvalues
+    (np.linalg.eigvalsh(rho)), clipped at zero."""
     evals = np.clip(np.asarray(evals).real, 0.0, None)
     pos = evals[evals > 0.0]
     return float(-np.sum(pos * np.log(pos)))
@@ -291,10 +288,6 @@ def swap_commutation_residual(H: np.ndarray, m: int, n: int,
     rows, cols = np.nonzero(H) if nonzero is None else nonzero
     diff = H[perm[rows], perm[cols]] - H[rows, cols]
     return float(abs(kappa) * (np.max(np.abs(diff)) if diff.size else 0.0))
-
-
-def purity(rho: np.ndarray) -> float:
-    return float(np.real(np.vdot(rho, rho)))
 
 
 def validate_density_matrix(rho: np.ndarray, name: str = "rho") -> None:

@@ -17,7 +17,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
@@ -25,7 +25,7 @@ import jsonschema
 import numpy as np
 
 from . import __version__
-from .analysis import TimeSeries, spectrum_of_series
+from .analysis import PEAK_FRACTION, TimeSeries, spectrum_of_series
 from .channel import (
     OBSERVABLE_NAMES,
     RUN_OBSERVABLES,
@@ -281,7 +281,6 @@ PRESET_SUMMARIES = {
     "fig4": "XYZ network, random start: few-frequency late-time oscillation",
     "fig5": "XX network, two-eigenvector start: clean single-frequency phase",
     "fig6": "XX network with coupling/field disorder: slow decay of the phase",
-    "acceptance": "run the acceptance checks (same as the acceptance command)",
 }
 
 
@@ -387,21 +386,9 @@ class RunManifest:
         return bool(self.invariants.get("passed"))
 
     def to_dict(self) -> dict:
-        out = {
-            "config": self.config,
-            "version": self.version,
-            "created": self.created,
-            "wall_seconds": self.wall_seconds,
-            "invariants": self.invariants,
-            "spectrum": self.spectrum,
-            "outputs": self.outputs,
-            "output_dir": self.output_dir,
-            "channel_frame": self.channel_frame,
-            "steps_per_s": self.steps_per_s,
-            "peak_rss_mb": self.peak_rss_mb,
-        }
-        if self.disorder_draws is not None:
-            out["disorder_draws"] = self.disorder_draws
+        out = asdict(self)
+        if self.disorder_draws is None:
+            del out["disorder_draws"]
         return out
 
 
@@ -467,7 +454,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunManifest:
         spectrum={
             "length": spectrum.length,
             "resolution_rad_per_step": spectrum.resolution,
-            "peak_fraction": spectrum.peak_fraction,
+            "peak_fraction": PEAK_FRACTION,
             "peaks": [{"freq_rad_per_step": f, "magnitude": m}
                       for f, m in spectrum.peaks],
         },

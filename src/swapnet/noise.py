@@ -142,18 +142,16 @@ class LifetimeScanResult:
 
 
 def lifetime_scan(base: HamiltonianSpec, epsilons, seeds, *,
-                  channel_spec: ChannelSpec | None = None,
                   pair: tuple[int, int] = (62, 63), steps: int = 4608,
-                  burn_in: int = 512, site: int = 0) -> LifetimeScanResult:
+                  burn_in: int = 512) -> LifetimeScanResult:
     """Fit oscillation decay rates across disorder strengths and seeds.
 
     Every run starts from the clean-Hamiltonian eigenpair superposition and
-    evolves under the disordered channel; gamma comes from the log-envelope
-    fit of the site transverse spin after burn-in. The log-log slope of mean
+    evolves under the disordered default channel; gamma comes from the
+    log-envelope fit of the site-0 transverse spin after burn-in. The log-log slope of mean
     gamma vs epsilon is reported with its standard error (epsilon = 0 rows
     are excluded from the slope fit).
     """
-    channel_spec = channel_spec or ChannelSpec()
     h_clean = build_hamiltonian(base)
     rho0 = make_initial_state(StateSpec(kind="eigenpair_superposition", pair=pair),
                               base.n, hamiltonian=h_clean)
@@ -165,9 +163,9 @@ def lifetime_scan(base: HamiltonianSpec, epsilons, seeds, *,
         for seed in seeds:
             h_run = build_disordered_hamiltonian(
                 DisorderSpec(base=base, epsilon=float(eps), seed=int(seed)))
-            ch = build_channel(h_run, channel_spec)
-            traj = iterate_channel(ch, rho0, steps, record=("sx",), sites=(site,))
-            series = TimeSeries(traj.series("sx", site=site), burn_in=burn_in)
+            traj = iterate_channel(build_channel(h_run), rho0, steps,
+                                   record=("sx",), sites=(0,))
+            series = TimeSeries(traj.series("sx", site=0), burn_in=burn_in)
             try:
                 fit = fit_decay_envelope(series)
                 row.append(float(fit.rate))

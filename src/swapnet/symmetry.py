@@ -141,22 +141,22 @@ def find_dynamical_symmetries(
         H: np.ndarray, sector: SymmetricSectorBasis | None = None) -> list[DynamicalSymmetry]:
     """All ordered sector eigenpairs (a != b) as validated symmetries.
 
-    residual_h is max|HA - AH - omega A|. residual_swap bounds
-    max_mn max|SW_mn A - A SW_mn| from above: with sw_k the largest swap
-    residual max|v_k[perm] - v_k| of sector vector k, the entries of
-    SW A - A SW are (v_a[perm] - v_a) v_b^dag + v_a (v_b - v_b[perm])^dag,
-    so the bound is sw_a |v_b|_inf + |v_a|_inf sw_b.
+    Both residuals are per-vector bounds from above. For A = |a><b|,
+    HA - AH - omega A = (H v_a - E_a v_a) v_b^dag - v_a (v_b^dag H - E_b v_b^dag),
+    so residual_h = |H v_a - E_a v_a|_inf |v_b|_inf
+    + |v_a|_inf |v_b^dag H - E_b v_b^dag|_inf bounds max|HA - AH - omega A|.
+    Likewise, with sw_k the largest swap residual max|v_k[perm] - v_k| of
+    sector vector k, the entries of SW A - A SW are
+    (v_a[perm] - v_a) v_b^dag + v_a (v_b - v_b[perm])^dag, so residual_swap
+    = sw_a |v_b|_inf + |v_a|_inf sw_b bounds max_mn max|SW_mn A - A SW_mn|.
     """
     if sector is None:
         sector = symmetric_sector_basis(H)
     n_sites = sector.n
-    # For A = |a><b|: HA - AH - omega A
-    #   = (H v_a - E_a v_a) v_b^dag - v_a (v_b^dag H - E_b v_b^dag),
-    # so H V and V^dag H, taken once, give every pair's commutator.
     vecs, energies = sector.vectors, sector.energies
     vecs_dag = vecs.conj().T
-    h_left = H @ vecs - vecs * energies
-    h_right = vecs_dag @ H - energies[:, None] * vecs_dag
+    h_left = np.max(np.abs(H @ vecs - vecs * energies), axis=0)
+    h_right = np.max(np.abs(vecs_dag @ H - energies[:, None] * vecs_dag), axis=1)
     swap_res = np.zeros(sector.dimension)
     for m, n in pair_list(n_sites):
         perm = swap_permutation(n_sites, m, n)
@@ -167,17 +167,15 @@ def find_dynamical_symmetries(
         for b in range(sector.dimension):
             if a == b:
                 continue
-            va = vecs[:, a]
             omega = float(energies[a] - energies[b])
-            res_h = float(np.max(np.abs(np.outer(h_left[:, a], vecs_dag[b])
-                                        - np.outer(va, h_right[b]))))
+            res_h = float(h_left[a] * sup[b] + sup[a] * h_right[b])
             res_sw = float(swap_res[a] * sup[b] + sup[a] * swap_res[b])
             if res_h > CONDITION_TOL or res_sw > CONDITION_TOL:
                 raise ValueError(
                     f"sector pair ({a},{b}) violates the symmetry conditions: "
                     f"commutator {res_h:.3e}, swap {res_sw:.3e}")
             out.append(DynamicalSymmetry(
-                omega=omega, a=a, b=b, vec_a=va, vec_b=vecs[:, b],
+                omega=omega, a=a, b=b, vec_a=vecs[:, a], vec_b=vecs[:, b],
                 hamiltonian=H, residual_h=res_h, residual_swap=res_sw,
                 degenerate=abs(omega) < DEGENERATE_OMEGA))
     return out
@@ -205,70 +203,35 @@ def clean_tc_state(sector: SymmetricSectorBasis, a: int, b: int) -> np.ndarray:
     return pure_state_density(sector.vectors[:, a] + sector.vectors[:, b])
 
 
-@dataclass
-class SymmetryExpansion:
-    """Weights of the sector expansion of an initial state.
+def predict_observable_series(rho0: np.ndarray, symmetries: list,
+                              observable: np.ndarray, n_values,
+                              dt: float = 1.0) -> np.ndarray:
+    """Predicted <O(n)> from the symmetry expansion (no simulation).
 
-    stationary weights pair r_a = <E_a|rho0|E_a> with overlaps <E_a|O|E_a>;
-    oscillatory weights pair R_ab = <E_a|rho0|E_b> with overlaps <E_b|O|E_a>
-    at frequency omega_ab = E_a - E_b. Exact for sector-supported rho0.
+    The stationary value pairs r_a = <E_a|rho0|E_a> with <E_a|O|E_a> over
+    every sector eigenvector the symmetries name; each symmetry adds
+    R_ab O_ba e^{i omega_ab n dt}, with R_ab = <E_a|rho0|E_b>,
+    O_ba = <E_b|O|E_a> and omega_ab = E_a - E_b. Exact for initial states
+    supported on the symmetric sector; for general states it gives the
+    sector part that survives at late times.
     """
-
-    omegas: np.ndarray
-    weights: np.ndarray
-    stationary_rho: np.ndarray
-    stationary_obs: np.ndarray
-    dt: float = 1.0
-
-    @property
-    def stationary_value(self) -> float:
-        return float(np.real(np.sum(self.stationary_rho * self.stationary_obs)))
-
-    def evaluate(self, n_values) -> np.ndarray:
-        n_values = np.asarray(n_values, dtype=float)
-        phases = np.exp(1j * np.outer(n_values, self.omegas) * self.dt)
-        series = self.stationary_value + phases @ self.weights
-        max_imag = float(np.max(np.abs(series.imag))) if series.size else 0.0
-        if max_imag > 1e-9:
-            raise ValueError(f"prediction not real: residual imag {max_imag:.3e}")
-        return series.real
-
-
-def symmetry_expansion(rho0: np.ndarray, symmetries: list,
-                       observable: np.ndarray, dt: float = 1.0) -> SymmetryExpansion:
-    """Expansion weights of rho0 over the symmetries' eigenvector pairs."""
     if not symmetries:
         raise ValueError("need at least one dynamical symmetry")
     vectors = {}
     for sym in symmetries:
         vectors.setdefault(sym.a, sym.vec_a)
         vectors.setdefault(sym.b, sym.vec_b)
-    indices = sorted(vectors)
+    diagonal = [vectors[i] for i in sorted(vectors)]
+    r = np.array([np.real(v.conj() @ rho0 @ v) for v in diagonal])
+    o = np.array([np.real(v.conj() @ observable @ v) for v in diagonal])
+    omegas = np.array([sym.omega for sym in symmetries], dtype=float)
+    weights = np.array([(sym.vec_a.conj() @ rho0 @ sym.vec_b)
+                        * (sym.vec_b.conj() @ observable @ sym.vec_a)
+                        for sym in symmetries], dtype=complex)
 
-    omegas, weights = [], []
-    for sym in symmetries:
-        va, vb = vectors[sym.a], vectors[sym.b]
-        r_ab = va.conj() @ rho0 @ vb
-        o_ba = vb.conj() @ observable @ va
-        omegas.append(sym.omega)
-        weights.append(r_ab * o_ba)
-
-    stat_rho = np.array([np.real(vectors[i].conj() @ rho0 @ vectors[i])
-                         for i in indices])
-    stat_obs = np.array([np.real(vectors[i].conj() @ observable @ vectors[i])
-                         for i in indices])
-    return SymmetryExpansion(omegas=np.asarray(omegas, dtype=float),
-                             weights=np.asarray(weights, dtype=complex),
-                             stationary_rho=stat_rho, stationary_obs=stat_obs,
-                             dt=dt)
-
-
-def predict_observable_series(rho0: np.ndarray, symmetries: list,
-                              observable: np.ndarray, n_values,
-                              dt: float = 1.0) -> np.ndarray:
-    """Predicted <O(n)> from the symmetry expansion (no simulation).
-
-    Exact for initial states supported on the symmetric sector; for general
-    states it gives the sector part that survives at late times.
-    """
-    return symmetry_expansion(rho0, symmetries, observable, dt=dt).evaluate(n_values)
+    phases = np.exp(1j * np.outer(np.asarray(n_values, dtype=float), omegas) * dt)
+    series = float(np.sum(r * o)) + phases @ weights
+    max_imag = float(np.max(np.abs(series.imag))) if series.size else 0.0
+    if max_imag > 1e-9:
+        raise ValueError(f"prediction not real: residual imag {max_imag:.3e}")
+    return series.real

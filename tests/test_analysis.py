@@ -1,15 +1,19 @@
+from itertools import product
+
 import numpy as np
 import pytest
 
 from swapnet.analysis import (
+    PEAK_FRACTION,
     TimeSeries,
+    _peak_bins,
     autocorrelation_at_lag,
     best_commensurate_lag,
     fit_decay_envelope,
     loschmidt_echo,
     spectrum_of_series,
 )
-from swapnet.core import StateSpec, make_initial_state, purity
+from swapnet.core import StateSpec, make_initial_state
 
 
 class TestTimeSeries:
@@ -28,7 +32,7 @@ class TestTimeSeries:
 class TestLoschmidt:
     def test_purity_at_zero_lag(self):
         rho = make_initial_state(StateSpec(kind="haar_random_pure", seed=2), 2)
-        assert np.isclose(loschmidt_echo(rho, rho), purity(rho))
+        assert np.isclose(loschmidt_echo(rho, rho), 1.0)
         mixed = np.eye(4, dtype=complex) / 4
         assert np.isclose(loschmidt_echo(mixed, mixed), 0.25)
 
@@ -77,6 +81,31 @@ class TestSpectrum:
         assert spec.peaks == []
         assert np.allclose(spec.magnitudes, 0.0, atol=1e-12)
 
+    def test_plateau_keeps_only_its_first_bin(self):
+        mags = np.array([0.0, 1.0, 1.0, 1.0, 0.5, 0.2, 0.0])
+        assert np.flatnonzero(_peak_bins(mags)).tolist() == [1]
+
+    def test_peak_rule_matches_run_reference(self):
+        # reference: of each run of equal-height candidates, only the first bin
+        def reference(mags):
+            n, floor = len(mags), PEAK_FRACTION * max(mags)
+            cand = [k >= 1 and mags[k] >= mags[k - 1] and mags[k] >= floor
+                    and (k + 1 == n or mags[k] >= mags[k + 1]) for k in range(n)]
+            peaks, k = [], 0
+            while k < n:
+                if cand[k]:
+                    peaks.append(k)
+                    while k + 1 < n and cand[k + 1] and mags[k + 1] == mags[k]:
+                        k += 1
+                k += 1
+            return peaks
+
+        for length in range(2, 7):
+            for mags in product(range(4), repeat=length):
+                if max(mags) > 0:
+                    got = np.flatnonzero(_peak_bins(np.array(mags, dtype=float)))
+                    assert got.tolist() == reference(mags), mags
+
     def test_truncates_to_power_of_two(self):
         spec = spectrum_of_series(TimeSeries(np.cos(0.3 * np.arange(700))))
         assert spec.length == 512
@@ -118,8 +147,7 @@ class TestDecayFit:
 
     def test_too_few_extrema(self):
         with pytest.raises(ValueError):
-            fit_decay_envelope(TimeSeries(np.cos(0.3 * np.arange(100))),
-                               min_extrema=50)
+            fit_decay_envelope(TimeSeries(np.cos(0.3 * np.arange(100))))
         with pytest.raises(ValueError):
             fit_decay_envelope(TimeSeries(np.zeros(2)))
 

@@ -251,8 +251,13 @@ class TestCli:
     def test_dimension_cap_exit_code(self, capsys):
         assert main(["run", "--preset", "fig2", "--n", "13"]) == 4
 
-    def test_acceptance_preset_rejects_overrides(self, capsys):
-        assert main(["run", "--preset", "acceptance", "--n", "3"]) == 2
+    def test_acceptance_is_not_a_preset(self, capsys):
+        # the acceptance checks run through the acceptance command only
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--preset", "acceptance"])
+        assert exc.value.code == 2
+        main(["list-presets"])
+        assert "acceptance" not in capsys.readouterr().out
 
     def test_missing_arguments(self):
         with pytest.raises(SystemExit):

@@ -161,7 +161,7 @@ class TestFirstOrderShift:
 class TestLifetimeScan:
     def test_scan_shape_and_monotonicity(self):
         scan = lifetime_scan(XX3, (0.0, 0.05, 0.1), (1, 2), pair=(6, 7),
-                             steps=2304, burn_in=256, site=0)
+                             steps=2304, burn_in=256)
         assert scan.epsilons.shape == (3,)
         assert [len(r) for r in scan.rates] == [2, 2, 2]
         assert scan.fit_failures == [0, 0, 0]
@@ -175,7 +175,7 @@ class TestLifetimeScan:
         assert len(table) == 3 and table[2][1] == scan.mean_rates[2]
 
     def test_scan_is_deterministic(self):
-        kw = dict(pair=(6, 7), steps=1536, burn_in=256, site=0)
+        kw = dict(pair=(6, 7), steps=1536, burn_in=256)
         a = lifetime_scan(XX3, (0.05,), (1,), **kw)
         b = lifetime_scan(XX3, (0.05,), (1,), **kw)
         assert a.rates == b.rates

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from swapnet.analysis import loschmidt_echo
 from swapnet.channel import build_channel, iterate_channel
 from swapnet.core import (
     HamiltonianSpec,
@@ -11,7 +12,6 @@ from swapnet.core import (
     build_hamiltonian,
     build_network_hamiltonian,
     pair_list,
-    purity,
     swap_permutation,
 )
 from swapnet.symmetry import (
@@ -23,7 +23,6 @@ from swapnet.symmetry import (
     predict_observable_series,
     symmetric_sector_basis,
     symmetric_subspace,
-    symmetry_expansion,
     verify_dynamical_symmetry,
 )
 
@@ -124,10 +123,18 @@ class TestDynamicalSymmetries:
 
     def test_commutator_residual_matches_dense_formula(self):
         for h in (XX3, build_hamiltonian(HamiltonianSpec(family="tfi", n=4, j_z=0.4, t=0.2))):
-            for sym in find_dynamical_symmetries(h):
+            sector = symmetric_sector_basis(h)
+            vecs, energies = sector.vectors, sector.energies
+            h_left = h @ vecs - vecs * energies
+            h_right = vecs.conj().T @ h - energies[:, None] * vecs.conj().T
+            for sym in find_dynamical_symmetries(h, sector):
                 op = sym.operator
                 dense = float(np.max(np.abs(h @ op - op @ h - sym.omega * op)))
                 assert abs(sym.residual_h - dense) <= 1e-14
+                # the per-vector bound is never below the rank-one residual
+                rank_one = np.max(np.abs(np.outer(h_left[:, sym.a], vecs[:, sym.b].conj())
+                                         - np.outer(vecs[:, sym.a], h_right[sym.b])))
+                assert rank_one <= sym.residual_h
 
     def test_rejects_vectors_that_are_not_eigenvectors(self):
         # the sector of another Hamiltonian gives pairs with a large commutator
@@ -207,7 +214,7 @@ class TestCleanState:
     def test_pure_and_sector_supported(self):
         sector = symmetric_sector_basis(XX3)
         rho = clean_tc_state(sector, 0, 3)
-        assert np.isclose(purity(rho), 1.0, atol=1e-12)
+        assert np.isclose(loschmidt_echo(rho, rho), 1.0, atol=1e-12)
         proj = sector.basis @ sector.basis.conj().T
         assert np.allclose(proj @ rho @ proj, rho, atol=1e-12)
 
@@ -247,15 +254,14 @@ class TestPrediction:
         syms = find_dynamical_symmetries(XX3, sector)
         obs = X0
         rho = np.eye(8, dtype=complex) / 8
-        exp = symmetry_expansion(rho, syms, obs)
-        assert np.allclose(exp.weights, 0.0, atol=1e-12)
-        series = exp.evaluate(np.arange(50))
+        # every R_ab = <E_a|I/8|E_b> vanishes, so nothing oscillates
+        series = predict_observable_series(rho, syms, obs, np.arange(50))
         assert np.allclose(series, series[0], atol=1e-12)
 
     def test_needs_symmetries(self):
         with pytest.raises(ValueError):
-            symmetry_expansion(np.eye(8, dtype=complex) / 8, [],
-                               X0)
+            predict_observable_series(np.eye(8, dtype=complex) / 8, [],
+                                      X0, np.arange(5))
 
     def test_fake_symmetry_rejected_by_channel(self):
         # |000><001| is neither swap-invariant nor an eigenoperator at this
