@@ -22,7 +22,7 @@ from math import comb
 
 import numpy as np
 
-from .channel import COMMUTE_TOL, ChannelSpec, build_channel
+from .channel import COMMUTE_TOL, build_channel
 from .core import (
     check_qubit_count,
     pair_list,
@@ -185,9 +185,9 @@ class AttractorSpectrum:
         return len(self.eigenvalues)
 
 
-def ising_attractor_spectrum(n_sites: int, j_z: float, h: float,
-                             dt: float = 1.0) -> AttractorSpectrum:
-    """Analytic spectrum: each class carries nu = e^{i[eps(M_up)-eps(M_low)]dt}.
+def ising_attractor_spectrum(n_sites: int, j_z: float, h: float) -> AttractorSpectrum:
+    """Analytic spectrum of the unit-step channel: each class carries
+    nu = e^{i[eps(M_up) - eps(M_low)]}.
 
     Classes whose upper and lower indices share a magnetization are exactly
     stationary (nu = 1). The eigen-operators are the Gamma_beta themselves.
@@ -202,16 +202,16 @@ def ising_attractor_spectrum(n_sites: int, j_z: float, h: float,
             eigenvalues[k] = 1.0
         else:
             phase = ising_energy(m_up, n_sites, j_z, h) - ising_energy(m_low, n_sites, j_z, h)
-            eigenvalues[k] = np.exp(1j * phase * dt)
+            eigenvalues[k] = np.exp(1j * phase)
     return AttractorSpectrum(eigenvalues=eigenvalues,
                              coordinates=np.eye(len(classes), dtype=complex),
                              n_sites=n_sites)
 
 
-def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0) -> AttractorSpectrum:
+def general_attractor_spectrum(H: np.ndarray) -> AttractorSpectrum:
     """Numeric spectrum for any uniform (permutation-symmetric) Hamiltonian.
 
-    Restricts conjugation by U0 = e^{iH dt} to the class-operator span,
+    Restricts conjugation by U0 = e^{iH} (the unit-step channel) to the class-operator span,
     eigendecomposes the restricted (unitary) matrix, and returns eigen-pairs
     with residual and orthonormality guarantees. The eigenvectors are
     orthonormalized by one QR in phase order, so the basis of a degenerate
@@ -227,7 +227,7 @@ def general_attractor_spectrum(H: np.ndarray, dt: float = 1.0) -> AttractorSpect
     matrix. The part of the image outside the span (its leak, roundoff only)
     enters each eigen-pair's residual bound.
     """
-    ch = build_channel(H, ChannelSpec(dt=dt))
+    ch = build_channel(H)
     if ch.mode != "product":
         raise ValueError(f"H does not commute with every swap (residual > {COMMUTE_TOL:.0e})")
 

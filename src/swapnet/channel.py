@@ -17,8 +17,14 @@ index. One stepper per mode yields the iterated states; apply_channel is its
 step 1 and iterate_channel records along it. A product channel steps in the
 rotating frame, where only the mixer touches the state, and forms the
 lab-frame view from U0's spectrum: elementwise phases for a diagonal H, else
-U0^n on the occupied blocks. One kernel conjugates an operand over the blocks
-it occupies, for the dense step and the rotating frame's view.
+U0^n on the occupied blocks.
+
+A dense channel's members are block-diagonal, so Phi maps each block pair
+X[a, b] to itself (a strong symmetry): the dense stepper computes
+y[a, b] = sum_k w_k U_k^a x[a, b] U_k^b^dag pair by pair with K d_a d_b of
+scratch, and on an exactly Hermitian operand only the pairs a >= b, mirroring
+the rest. build_channel refuses a dense channel whose members and stepper
+would not fit in physical memory (dense_memory_bytes).
 
 The product-form mixer has two halves. Summed over pairs, the partial-swap
 sandwiches give sum_k w_k s_k^2 SW_k rho SW_k, formed pair by pair on
@@ -31,8 +37,9 @@ per sector, and i[S, rho] costs one real matmul per sector on each side.
 
 from __future__ import annotations
 
+import os
 from dataclasses import asdict, dataclass, field
-from itertools import accumulate, count, islice
+from itertools import accumulate, count, islice, product
 
 import numpy as np
 
@@ -40,6 +47,7 @@ from .core import (
     EIGENVALUE_FLOOR,
     HERMITICITY_TOL,
     TRACE_TOL,
+    DimensionCapError,
     charge_sectors,
     entropy_from_eigenvalues,
     pair_list,
@@ -138,8 +146,9 @@ class Channel:
     # (eigenvalues, eigenvectors, their adjoint) of H per block; product mode
     # with a non-diagonal H only
     u0_eigen: tuple | None = field(default=None, repr=False)
-    # per block, the (K, d, d) stack of the mixture members (U0 first) and its
-    # conjugate transpose; dense mode only
+    # per block, the mixture members (U0 first) as a (d, K, d) array, rows[:, k]
+    # = U_k, and their weighted adjoints as a (K, d, d) array, cols[k] =
+    # w_k U_k^dag; dense mode only
     members: tuple | None = field(default=None, repr=False)
     # (indices, real block) of S = sum_k w_k sin(theta_k) cos(theta_k) SW_k
     # per popcount sector (_swap_sum); product mode only
@@ -164,13 +173,14 @@ class Channel:
         synthesized from H's eigenpairs."""
         if self.u0_phases is not None:
             return [np.diag(self.u0_phases[idx]) for idx in self.blocks]
-        return [u[0] for u, _ in _rotation(self.u0_eigen, self.spec.dt, 1)]
+        return [u for u, _ in _rotation(self.u0_eigen, self.spec.dt, 1)]
 
     def unitaries(self):
         """Yield (probability, dense unitary) in fixed order, U0 first, each
         assembled from its blocks on demand."""
         if self.mode == "dense":
-            per_member = [[u[k] for u, _ in self.members] for k in range(len(self.weights))]
+            per_member = [[rows[:, k] for rows, _ in self.members]
+                          for k in range(len(self.weights))]
         else:
             u0 = self.u0_blocks()
             theta = self.kappas * self.spec.dt
@@ -227,11 +237,11 @@ def _swap_sum(ch: Channel) -> tuple:
 
 
 def _rotation(eigen: list, dt: float, n: int) -> list:
-    """U0^n per block as (1, d, d) stacks with their adjoints, synthesized as
-    V e^{i n dt E} V^dag with the phases reduced mod 2 pi."""
+    """U0^n per block with its adjoint, synthesized as V e^{i n dt E} V^dag
+    with the phases reduced mod 2 pi."""
     rots = [(vecs * np.exp(1j * np.mod(n * (evals * dt), 2.0 * np.pi))) @ vecs_dag
             for evals, vecs, vecs_dag in eigen]
-    return [(r[None], r.conj().T[None]) for r in rots]
+    return [(r, r.conj().T) for r in rots]
 
 
 def _check_unitary(mats) -> None:
@@ -242,12 +252,38 @@ def _check_unitary(mats) -> None:
             raise ValueError(f"mixture member not unitary, residual {u_err:.3e}")
 
 
+def dense_memory_bytes(n_sites: int, block_sizes, n_members: int, support) -> int:
+    """Estimated bytes of a dense channel and its stepper, from sizes alone.
+
+    The K members of every block and their adjoints take 2 K sum_b d_b^2
+    complex entries. The stepper holds the state and the checked copy of a
+    validate step (2 dim^2), both gathered onto the blocks numbered in
+    support (2 D^2, D the sum of their sizes), and its scratch: K max d_a d_b
+    over the support for one block pair, or four dim^2 buffers when the
+    one block of a Hamiltonian without sectors is summed member by member.
+    """
+    sizes = [int(block_sizes[b]) for b in support]
+    gathered = sum(sizes)
+    largest = max(sizes, default=0) ** 2
+    scratch = 4 * largest if len(block_sizes) == 1 else n_members * largest
+    entries = (2 * n_members * sum(int(d) ** 2 for d in block_sizes)
+               + 2 * 4**n_sites + 2 * gathered**2 + scratch)
+    return 16 * entries
+
+
+def _memory_budget() -> int:
+    """Physical memory of the host in bytes."""
+    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+
+
 def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
     """Compile the channel for a Hamiltonian.
 
     Uses the factorized partial-swap form when every pair commutes with H
     (residual <= 1e-10), otherwise dense eigendecomposition per pair. Every
-    eigendecomposition runs per charge sector when H has them.
+    eigendecomposition runs per charge sector when H has them. A dense
+    channel whose dense_memory_bytes estimate (every block occupied) exceeds
+    physical memory raises DimensionCapError before its members are built.
     """
     spec = spec or ChannelSpec()
     n_sites = sites_from_dim(H.shape[0])
@@ -282,8 +318,15 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
         return ch
 
     # Dense: every mixture member, block by block (non-commuting pairs).
+    sizes = [idx.size for idx in blocks]
+    need = dense_memory_bytes(n_sites, sizes, len(weights), range(len(blocks)))
+    budget = _memory_budget()
+    if need > budget:
+        raise DimensionCapError(
+            f"dense channel of {n_sites} qubits needs about {need / 2**30:.1f} GiB "
+            f"(members and stepper), more than the {budget / 2**30:.1f} GiB of physical memory")
     u0 = ch.u0_blocks() if diag_h else _blockwise_exp(H, blocks, spec.dt)
-    stacks = [np.empty((len(weights), idx.size, idx.size), dtype=complex) for idx in blocks]
+    rows = [np.empty((d, len(weights), d), dtype=complex) for d in sizes]
     for k in range(len(weights)):
         if k == 0:
             member = u0
@@ -296,13 +339,14 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
             hk = H + kappas[k - 1] * 0.0
             hk[swap_permutation(n_sites, *pairs[k - 1]), np.arange(dim)] += kappas[k - 1]
             member = _blockwise_exp(hk, blocks, spec.dt)
-        for stack, block in zip(stacks, member):
-            stack[k] = block
-    _check_unitary(u for stack in stacks for u in stack)
-    daggers = [stack.transpose(0, 2, 1).copy() for stack in stacks]
-    for dag in daggers:
-        np.conjugate(dag, out=dag)              # one allocation per block
-    ch.members = tuple(zip(stacks, daggers))
+        _check_unitary(member)
+        for r, block in zip(rows, member):
+            r[:, k] = block
+    cols = [np.empty((len(weights), d, d), dtype=complex) for d in sizes]
+    for r, c in zip(rows, cols):
+        np.conjugate(r.transpose(1, 2, 0), out=c)     # c[k] = U_k^dag
+        c *= weights[:, None, None]
+    ch.members = tuple(zip(rows, cols))
     return ch
 
 
@@ -358,22 +402,21 @@ def _occupied_blocks(ch: Channel, x: np.ndarray) -> tuple:
     return occupied, np.ix_(order, order)
 
 
-def _conjugate_blocks(members: list, weights: np.ndarray, x: np.ndarray,
-                      left: np.ndarray, terms: np.ndarray | None) -> np.ndarray:
-    """terms[k] = w_k U_k x U_k^dag for block-diagonal U_k, given per block as
-    a (K, d, d) stack and its adjoint on consecutive index ranges of the D x D
-    operand x: each block's rows, then its columns. left is (K, D, D) scratch;
-    without terms (one member) the result overwrites x, read before it."""
-    if terms is None:
-        terms = x[None]
-    sizes = [u.shape[-1] for u, _ in members]
-    slices = [slice(end - d, end) for d, end in zip(sizes, accumulate(sizes))]
-    for s, (u, _) in zip(slices, members):
-        np.matmul(u, x[s], out=left[:, s])
-    left *= weights[:, None, None]
-    for s, (_, u_dag) in zip(slices, members):
-        np.matmul(left[:, :, s], u_dag, out=terms[:, :, s])
-    return terms
+def _spans(sizes: list) -> list:
+    """Consecutive index ranges of blocks with these sizes."""
+    return [slice(end - d, end) for d, end in zip(sizes, accumulate(sizes))]
+
+
+def _conjugate_blocks(frame: list, x: np.ndarray, left: np.ndarray) -> np.ndarray:
+    """U x U^dag for a block-diagonal U, given per block with its adjoint on
+    consecutive index ranges of the D x D operand x: each block's rows into
+    the D x D scratch left, then its columns back into x."""
+    spans = _spans([u.shape[-1] for u, _ in frame])
+    for s, (u, _) in zip(spans, frame):
+        np.matmul(u, x[s], out=left[s])
+    for s, (_, u_dag) in zip(spans, frame):
+        np.matmul(left[:, s], u_dag, out=x[:, s])
+    return x
 
 
 def _states(ch: Channel, rho0: np.ndarray):
@@ -382,13 +425,14 @@ def _states(ch: Channel, rho0: np.ndarray):
     spectrum checks read. Every member is block-diagonal, so sigma stays
     exactly zero outside the blocks rho0 occupies, and the dense stepper and
     the rotating frame's view work on those alone. A yielded array may be
-    reused by the next step.
+    reused by the next step. Sending True instead of calling next() marks the
+    step as checked (see _dense_steps).
     """
     sigma = np.array(rho0, dtype=complex)
-    yield sigma, sigma
+    validate = yield sigma, sigma
     occupied, gather = _occupied_blocks(ch, sigma)
     if ch.mode == "dense":
-        stepper = _dense_steps(ch, sigma, [ch.members[b] for b in occupied], gather)
+        stepper = _dense_steps(ch, sigma, [ch.members[b] for b in occupied], gather, validate)
     else:
         stepper = _rotating_steps(ch, sigma, occupied, gather)
     del sigma                           # the stepper alone holds the state
@@ -405,7 +449,7 @@ def _rotating_steps(ch: Channel, sigma: np.ndarray, occupied: list, gather: tupl
         angles = np.angle(ch.u0_phases)                # E dt, reduced
     else:
         eigen = [ch.u0_eigen[b] for b in occupied]
-        left = np.empty((1, gather[0].size, gather[0].size), dtype=complex)
+        left = np.empty((gather[0].size, gather[0].size), dtype=complex)
     for n in count(1):
         sigma = _mix_product(ch, sigma)
         if ch.u0_phases is not None:
@@ -414,18 +458,84 @@ def _rotating_steps(ch: Channel, sigma: np.ndarray, occupied: list, gather: tupl
             view *= phases.conj()
         else:
             frame = _rotation(eigen, ch.spec.dt, n)
-            view[gather] = _conjugate_blocks(frame, np.ones(1), sigma[gather], left, None)[0]
+            view[gather] = _conjugate_blocks(frame, sigma[gather], left)
         yield view, sigma
 
 
-def _dense_steps(ch: Channel, sigma: np.ndarray, members: list, gather: tuple):
-    """Dense members, sandwiched on the occupied block x in place, with the
-    kernel's two buffers allocated once."""
+def _dense_steps(ch: Channel, sigma: np.ndarray, members: list, gather: tuple, validate):
+    """Dense members on the occupied part x of sigma, one block pair at a time.
+
+    Each member is block-diagonal, so y[a, b] depends on x[a, b] alone:
+    y[a, b] = sum_k U_k^a x[a, b] (w_k U_k^b^dag). The rows of every member
+    go in one GEMM into K d_a d_b of scratch, and the columns and the sum
+    over members in one GEMM over the stacked weighted adjoints, written
+    over x[a, b]. An exactly Hermitian x (every state) takes the half form:
+    only the pairs a >= b, the strict upper triangle mirrored from the lower
+    and the diagonal made real, so x stays exactly Hermitian. Any other
+    operand gets every pair, until a step leaves it exactly Hermitian. The
+    form follows the operand, so apply_channel repeated and this stepper
+    agree bit for bit. A checked step of the half form computes every pair
+    and yields that unmirrored result as the checked state, so the checks
+    (and the entropy record, which shares their eigvalsh) read pairs a < b
+    computed on their own and the Hermiticity error is measured, not zero
+    by construction. The stored state is the mirrored one either way.
+
+    Without sectors the one block is the whole space, where that scratch
+    would be K dim^2; there the members are summed one at a time in member
+    order, with four dim^2 buffers.
+    """
     x = sigma[gather]
-    left = np.empty((len(ch.weights),) + x.shape, dtype=complex)
-    terms = np.empty_like(left)
+    if ch.sectors is None and members:
+        yield from _member_steps(ch, sigma, members[0][0], gather, x)
+        return
+    n_members = len(ch.weights)
+    sizes = [rows.shape[0] for rows, _ in members]
+    spans = _spans(sizes)
+    scratch = np.empty(n_members * max(sizes, default=0) ** 2, dtype=complex)
+    lower, upper = [], []
+    for a, b in product(range(len(sizes)), repeat=2):
+        da, db = sizes[a], sizes[b]
+        by_row = scratch[:n_members * da * db]
+        kernel = (members[a][0].reshape(da * n_members, da), x[spans[a], spans[b]],
+                  by_row.reshape(da * n_members, db), by_row.reshape(da, n_members * db),
+                  members[b][1].reshape(n_members * db, db))
+        (lower if a >= b else upper).append(kernel)
+    every_pair = lower + upper
+    strict_upper = np.triu(np.ones(x.shape, dtype=bool), 1)
+    half = np.array_equal(x, x.conj().T)
+    checked = None
     while True:
-        np.sum(_conjugate_blocks(members, ch.weights, x, left, terms), axis=0, out=x)
+        for rows, block, by_row, by_col, cols in (
+                lower if half and not validate else every_pair):
+            np.matmul(rows, block, out=by_row)
+            np.matmul(by_col, cols, out=block)
+        measured = half and validate
+        if measured:
+            if checked is None:
+                checked = np.zeros_like(sigma)
+            checked[gather] = x
+        if half:
+            np.copyto(x, x.T.conj(), where=strict_upper)
+            np.fill_diagonal(x.imag, 0.0)
+        sigma[gather] = x
+        half = half or np.array_equal(x, x.conj().T)
+        validate = yield sigma, (checked if measured else sigma)
+
+
+def _member_steps(ch: Channel, sigma: np.ndarray, rows: np.ndarray, gather: tuple,
+                  x: np.ndarray):
+    """One block of every index, the members U_k = rows[:, k]:
+    y = sum_k (w_k U_k x) U_k^dag, member by member, in member order."""
+    left, term, acc, u_dag = (np.empty_like(x) for _ in range(4))
+    while True:
+        for k, w in enumerate(ch.weights):
+            np.matmul(rows[:, k], x, out=left)
+            left *= w
+            np.conjugate(rows[:, k].T, out=u_dag)
+            np.matmul(left, u_dag, out=acc if k == 0 else term)
+            if k:
+                acc += term
+        x, acc = acc, x
         sigma[gather] = x
         yield sigma, sigma
 
@@ -552,7 +662,8 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
 
     states = _states(ch, rho0)
     for n in range(n_rec):
-        rho, sigma = next(states)
+        check_now = validate_stride and (n % validate_stride == 0 or n == steps)
+        rho, sigma = states.send(bool(check_now)) if n else next(states)
         for j, s in enumerate(sites):
             for name, value in zip(SITE_OBSERVABLES, single_site_expectations(rho, s)):
                 if name in records:
@@ -562,7 +673,6 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
         if "total_mz" in records:
             records["total_mz"][n] = total_magnetization_expectation(rho)
 
-        check_now = validate_stride and (n % validate_stride == 0 or n == steps)
         if want_entropy or check_now:
             evals = np.linalg.eigvalsh(sigma[gather] if partial else sigma)
             entropy = entropy_from_eigenvalues(evals)
@@ -584,12 +694,13 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
 
 def unitality_error(ch: Channel) -> float:
     """Max-norm deviation of Phi(I/dim) from I/dim; a dense channel forms it
-    block by block as sum_k w_k U_k U_k^dag / dim."""
+    block by block as sum_k U_k (w_k U_k^dag) / dim, one GEMM per block."""
     if ch.mode == "product":
         mixed = np.eye(ch.dim, dtype=complex) / ch.dim
         return float(np.max(np.abs(apply_channel(ch, mixed) - mixed)))
     err = 0.0
-    for stack, stack_dag in ch.members:
-        mixed = sum(w * (u @ u_dag) for w, u, u_dag in zip(ch.weights, stack, stack_dag))
-        err = max(err, float(np.max(np.abs(mixed / ch.dim - np.eye(len(mixed)) / ch.dim))))
+    for rows, cols in ch.members:
+        d = len(rows)
+        mixed = rows.reshape(d, -1) @ cols.reshape(-1, d)
+        err = max(err, float(np.max(np.abs(mixed / ch.dim - np.eye(d) / ch.dim))))
     return err

@@ -337,9 +337,19 @@ class StateSpec:
 
 
 def pure_state_density(psi: np.ndarray) -> np.ndarray:
+    """|psi><psi| for the normalized psi, exactly Hermitian.
+
+    The vectorized complex products of np.outer can round (i, j) and (j, i)
+    differently; such a product is replaced by its exactly Hermitian part
+    (rho + rho^dag) / 2, and one that is already exact is kept bit for bit.
+    """
     psi = np.asarray(psi, dtype=complex)
     psi = psi / np.linalg.norm(psi)
-    return np.outer(psi, psi.conj())
+    rho = np.outer(psi, psi.conj())
+    if not np.array_equal(rho, rho.conj().T):
+        rho += rho.conj().T
+        rho *= 0.5
+    return rho
 
 
 def _sector_component(vec: np.ndarray, sectors) -> np.ndarray:

@@ -412,7 +412,6 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunManifest:
     config.validate()
     config = config.resolve_seeds()
     target = resolve_output_dir(config, out_dir)
-    target.mkdir(parents=True, exist_ok=True)
 
     h_clean = build_hamiltonian(config.hamiltonian_spec())
     disorder = config.disorder_spec()
@@ -439,6 +438,7 @@ def run_experiment(config: ExperimentConfig, out_dir=None) -> RunManifest:
                         burn_in=config.burn_in)
     spectrum = spectrum_of_series(series)
 
+    target.mkdir(parents=True, exist_ok=True)
     series_path = target / "series.csv"
     spectrum_path = target / "spectrum.csv"
     _atomic_write_bytes(series_path, _series_csv(traj, config.resolved_sites(),

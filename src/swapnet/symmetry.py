@@ -204,13 +204,12 @@ def clean_tc_state(sector: SymmetricSectorBasis, a: int, b: int) -> np.ndarray:
 
 
 def predict_observable_series(rho0: np.ndarray, symmetries: list,
-                              observable: np.ndarray, n_values,
-                              dt: float = 1.0) -> np.ndarray:
+                              observable: np.ndarray, n_values) -> np.ndarray:
     """Predicted <O(n)> from the symmetry expansion (no simulation).
 
     The stationary value pairs r_a = <E_a|rho0|E_a> with <E_a|O|E_a> over
     every sector eigenvector the symmetries name; each symmetry adds
-    R_ab O_ba e^{i omega_ab n dt}, with R_ab = <E_a|rho0|E_b>,
+    R_ab O_ba e^{i omega_ab n} (unit step), with R_ab = <E_a|rho0|E_b>,
     O_ba = <E_b|O|E_a> and omega_ab = E_a - E_b. Exact for initial states
     supported on the symmetric sector; for general states it gives the
     sector part that survives at late times.
@@ -229,7 +228,7 @@ def predict_observable_series(rho0: np.ndarray, symmetries: list,
                         * (sym.vec_b.conj() @ observable @ sym.vec_a)
                         for sym in symmetries], dtype=complex)
 
-    phases = np.exp(1j * np.outer(np.asarray(n_values, dtype=float), omegas) * dt)
+    phases = np.exp(1j * np.outer(np.asarray(n_values, dtype=float), omegas))
     series = float(np.sum(r * o)) + phases @ weights
     max_imag = float(np.max(np.abs(series.imag))) if series.size else 0.0
     if max_imag > 1e-9:

@@ -206,11 +206,6 @@ class TestIsingSpectrum:
         stationary = np.isclose(spec.eigenvalues, 1.0)
         assert np.all(spec.degeneracies[stationary] == 6)
 
-    def test_dt_scales_phases(self):
-        a = ising_attractor_spectrum(2, 0.4, 0.1, dt=1.0)
-        b = ising_attractor_spectrum(2, 0.4, 0.1, dt=0.5)
-        assert np.allclose(b.eigenvalues**2, a.eigenvalues, atol=1e-12)
-
 
 class TestGeneralSpectrum:
     def test_matches_ising_analytic(self):

@@ -4,6 +4,7 @@ from itertools import islice
 import numpy as np
 import pytest
 
+from swapnet import channel
 from swapnet.analysis import loschmidt_echo
 from swapnet.channel import (
     Channel,
@@ -13,10 +14,12 @@ from swapnet.channel import (
     apply_channel,
     build_channel,
     channel_superoperator,
+    dense_memory_bytes,
     iterate_channel,
     unitality_error,
 )
 from swapnet.core import (
+    DimensionCapError,
     HamiltonianSpec,
     StateSpec,
     build_hamiltonian,
@@ -521,6 +524,79 @@ class TestChargeSectors:
                                n, (0, 5))
         for ref, (state, _) in zip(full_path(ch, rho0, 60), islice(_states(ch, rho0), 1, None)):
             assert np.array_equal(state, ref)
+
+
+class TestBlockPairStepper:
+    def test_hermiticity_error_is_measured(self):
+        # a checked step computes every block pair and yields that unmirrored
+        # result, so the error is roundoff, not zero by construction; the
+        # stored state is the mirrored one whether or not steps are checked
+        ch = build_channel(disordered("xx", 4, seed=2, j_x=0.4, h=1.0))
+        assert ch.mode == "dense" and ch.sectors is not None
+        rho0 = haar_state(4, 3)
+        assert np.array_equal(rho0, rho0.conj().T)
+        checked = iterate_channel(ch, rho0, 20, validate_stride=1)
+        plain = iterate_channel(ch, rho0, 20)
+        assert 0.0 < checked.invariants.max_hermiticity_error <= 1e-15
+        assert checked.invariants.passed()
+        final = checked.final_state
+        assert np.array_equal(final, plain.final_state)
+        assert np.array_equal(final, final.conj().T)
+        for name, values in plain.records.items():
+            assert np.max(np.abs(checked.records[name] - values)) <= 1e-14
+
+    def test_checked_state_is_the_every_pair_result(self):
+        # the stepper's checked state on a checked step agrees with the stored
+        # half-form state at roundoff but is computed apart from it
+        ch = build_channel(disordered("ising", 4, seed=4, j_z=0.4, h=0.1))
+        assert ch.mode == "dense" and ch.sectors is not None
+        states = _states(ch, haar_state(4, 8))
+        next(states)
+        stored, checked = states.send(True)
+        assert stored is not checked
+        assert 0.0 < np.max(np.abs(checked - stored)) <= 1e-15
+        assert np.array_equal(stored, stored.conj().T)
+
+    def test_haar_step_allocates_less_than_one_member_stack(self):
+        # a Haar start occupies every popcount sector; the step's scratch is
+        # one block pair's K d_a d_b, not a (K, dim, dim) buffer
+        ch = build_channel(disordered("xx", 7, seed=5, j_x=0.4, h=1.0))
+        assert ch.mode == "dense"
+        rho0 = haar_state(7, 5)
+        tracemalloc.start()
+        try:
+            apply_channel(ch, rho0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < len(ch.weights) * ch.dim**2 * 16
+
+
+class TestMemoryPreflight:
+    def test_estimate_matches_hand_count(self):
+        # n=4 popcount sectors 1, 4, 6, 4, 1 with K = 7 members, start on
+        # sectors 1 and 2 (D = 10): members and adjoints 2*7*70, state and
+        # checked copy 2*256, gathered 2*100, pair scratch 7*36 entries
+        assert dense_memory_bytes(4, [1, 4, 6, 4, 1], 7, [1, 2]) == 16 * (980 + 512 + 200 + 252)
+        # one block of every index: members 2*7*256, state 2*256, gathered
+        # 2*256 and four 256-entry buffers of the member-by-member sum
+        assert dense_memory_bytes(4, [16], 7, [0]) == 16 * (3584 + 512 + 512 + 1024)
+        # n=10 XX, K = 46: the members alone are 2*46*C(20, 10) entries
+        sizes = [int(v) for v in np.bincount(popcounts(10))]
+        members = 2 * 46 * 184756 * 16
+        assert members == 271_960_832
+        assert dense_memory_bytes(10, sizes, 46, range(11)) == (
+            members + 16 * (2 * 4**10 + 2 * 4**10 + 46 * 252**2))
+
+    def test_over_budget_channel_is_refused(self, monkeypatch):
+        h = disordered("xx", 4, seed=1, j_x=0.4, h=1.0)
+        need = dense_memory_bytes(4, [1, 4, 6, 4, 1], 7, range(5))
+        monkeypatch.setattr(channel, "_memory_budget", lambda: need - 1)
+        with pytest.raises(DimensionCapError, match="GiB"):
+            build_channel(h)
+        assert build_channel(XX3).mode == "product"     # holds no members
+        monkeypatch.setattr(channel, "_memory_budget", lambda: need)
+        assert build_channel(h).mode == "dense"
 
 
 class TestSpectralStructure:

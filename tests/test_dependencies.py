@@ -26,7 +26,7 @@ def test_package_imports_only_declared_dependencies():
     assert {name: files for name, files in found.items() if name not in allowed} == {}
 
 
-SETTABLE_VALUES = 77
+SETTABLE_VALUES = 74
 
 
 def _has_default(stmt) -> bool:

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from swapnet import __version__
+from swapnet import channel as channel_module
 from swapnet.cli import main
 from swapnet.core import DimensionCapError
 from swapnet.experiment import (
@@ -250,6 +251,16 @@ class TestCli:
 
     def test_dimension_cap_exit_code(self, capsys):
         assert main(["run", "--preset", "fig2", "--n", "13"]) == 4
+
+    def test_memory_preflight_exits_before_writing(self, tmp_path, monkeypatch, capsys):
+        # a dense channel whose estimate exceeds the memory budget exits 4
+        # before its members or the output directory exist
+        monkeypatch.setattr(channel_module, "_memory_budget", lambda: 1)
+        path = tmp_path / "exp.json"
+        path.write_text(json.dumps(tiny_config(disorder={"epsilon": 0.1, "seed": 1})))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
+        assert "physical memory" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     def test_acceptance_is_not_a_preset(self, capsys):
         # the acceptance checks run through the acceptance command only
