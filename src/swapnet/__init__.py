@@ -10,11 +10,9 @@ from .core import (
     StateSpec,
     build_hamiltonian,
     build_network_hamiltonian,
-    build_swap_operator,
     magnetization_values,
     make_initial_state,
     pair_list,
-    partial_trace,
     single_site_expectations,
     swap_commutation_residual,
     total_magnetization_expectation,
@@ -70,7 +68,6 @@ from .noise import (
     lifetime_scan,
 )
 from .experiment import (
-    CONFIG_SCHEMA,
     ConfigError,
     ExperimentConfig,
     RunManifest,
@@ -82,9 +79,9 @@ from .experiment import (
 __all__ = [
     "__version__",
     "DimensionCapError", "HamiltonianSpec", "StateSpec",
-    "build_hamiltonian", "build_network_hamiltonian", "build_swap_operator",
+    "build_hamiltonian", "build_network_hamiltonian",
     "magnetization_values", "make_initial_state", "pair_list",
-    "partial_trace", "single_site_expectations",
+    "single_site_expectations",
     "swap_commutation_residual", "total_magnetization_expectation",
     "validate_density_matrix",
     "Channel", "ChannelInvariantError", "ChannelSpec", "InvariantReport",
@@ -103,6 +100,6 @@ __all__ = [
     "DisorderSpec", "build_disordered_hamiltonian",
     "disordered_coefficients", "first_order_eigenvalue_shift",
     "lifetime_scan",
-    "CONFIG_SCHEMA", "ConfigError", "ExperimentConfig", "RunManifest",
+    "ConfigError", "ExperimentConfig", "RunManifest",
     "load_config", "load_preset", "run_experiment",
 ]

@@ -116,16 +116,20 @@ class ChannelSpec:
             raise ValueError("channel needs at least 2 qubits")
         if not 0.0 < self.p0 < 1.0:
             raise ValueError(f"p0 must lie in (0, 1), got {self.p0}")
+        if not (np.isfinite(self.dt) and self.dt > 0.0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.pair_probabilities is None:
             probs = np.full(len(pairs), (1.0 - self.p0) / len(pairs))
         else:
             probs = _per_pair_map(self.pair_probabilities, pairs, "pair_probabilities")
-        if np.any(probs <= 0.0):
+        if not np.all(probs > 0.0):
             raise ValueError("all pair probabilities must be positive")
         total = self.p0 + probs.sum()
         if abs(total - 1.0) > 1e-12:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
         kappas = _per_pair_map(self.kappa, pairs, "kappa")
+        if not np.all(np.isfinite(kappas)):
+            raise ValueError(f"kappa must be finite, got {kappas}")
         return pairs, probs, kappas
 
 

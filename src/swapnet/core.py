@@ -242,31 +242,6 @@ def swap_permutation(n_sites: int, m: int, n: int) -> np.ndarray:
     return out
 
 
-def build_swap_operator(m: int, n: int, n_sites: int) -> np.ndarray:
-    """Swap unitary SW_mn exchanging sites m and n (a basis permutation)."""
-    check_qubit_count(n_sites)
-    perm = swap_permutation(n_sites, m, n)
-    dim = perm.size
-    sw = np.zeros((dim, dim), dtype=complex)
-    sw[perm, np.arange(dim)] = 1.0
-    return sw
-
-
-def partial_trace(rho: np.ndarray, drop) -> np.ndarray:
-    """Trace out the sites in `drop`, keeping the rest in site order."""
-    n_sites = sites_from_dim(rho.shape[0])
-    drop = sorted(set(int(s) for s in drop))
-    if any(s < 0 or s >= n_sites for s in drop):
-        raise ValueError(f"drop sites {drop} out of range for {n_sites} qubits")
-    tensor = np.asarray(rho).reshape((2,) * (2 * n_sites))
-    remaining = n_sites
-    for s in reversed(drop):
-        tensor = np.trace(tensor, axis1=s, axis2=s + remaining)
-        remaining -= 1
-    dim = 2**remaining
-    return tensor.reshape(dim, dim)
-
-
 def entropy_from_eigenvalues(evals: np.ndarray) -> float:
     """Von Neumann entropy S = -sum lambda ln lambda of a state's eigenvalues
     (np.linalg.eigvalsh(rho)), clipped at zero."""

@@ -1,6 +1,7 @@
 """Config-driven experiment runner with CSV/JSON persistence.
 
-A run is described by a JSON-serializable config (schema below), executed as:
+A run is described by a JSON-serializable config (ExperimentConfig, which
+validates every field), executed as:
 build the Hamiltonian (optionally disordered), compile the channel, iterate
 from the configured initial state, then write three artifacts into the run
 directory: series.csv (per step and site), spectrum.csv (DFT of the
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import numbers
 import os
 import sys
 import time
@@ -21,7 +23,6 @@ from dataclasses import asdict, dataclass, field, replace
 from importlib import resources
 from pathlib import Path
 
-import jsonschema
 import numpy as np
 
 from . import __version__
@@ -37,8 +38,6 @@ from .channel import (
     unitality_error,
 )
 from .core import (
-    HAMILTONIAN_FAMILIES,
-    STATE_KINDS,
     HamiltonianSpec,
     StateSpec,
     build_hamiltonian,
@@ -47,80 +46,23 @@ from .core import (
 )
 from .noise import DisorderSpec, build_disordered_hamiltonian, disordered_coefficients
 
-CONFIG_SCHEMA = {
-    "$schema": "https://json-schema.org/draft/2020-12/schema",
-    "title": "swapnet experiment config",
-    "type": "object",
-    "required": ["name", "n", "hamiltonian", "initial_state", "steps", "burn_in"],
-    "additionalProperties": False,
-    "properties": {
-        "name": {"type": "string", "minLength": 1},
-        "n": {"type": "integer", "minimum": 2},
-        "hamiltonian": {
-            "type": "object",
-            "required": ["family"],
-            "additionalProperties": False,
-            "properties": {
-                "family": {"enum": list(HAMILTONIAN_FAMILIES)},
-                "j_x": {"type": "number"},
-                "j_y": {"type": "number"},
-                "j_z": {"type": "number"},
-                "h": {"type": "number"},
-                "t": {"type": "number"},
-            },
-        },
-        "disorder": {
-            "type": "object",
-            "required": ["epsilon"],
-            "additionalProperties": False,
-            "properties": {
-                "epsilon": {"type": "number", "minimum": 0},
-                "seed": {"type": "integer", "minimum": 0},
-            },
-        },
-        "channel": {
-            "type": "object",
-            "additionalProperties": False,
-            "properties": {
-                "p0": {"type": "number", "exclusiveMinimum": 0, "exclusiveMaximum": 1},
-                "pair_probabilities": {
-                    "type": ["object", "array"],
-                    "items": {"type": "number"},
-                    "additionalProperties": {"type": "number"},
-                },
-                "kappa": {
-                    "type": ["number", "object", "array"],
-                    "items": {"type": "number"},
-                    "additionalProperties": {"type": "number"},
-                },
-                "dt": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "initial_state": {
-            "type": "object",
-            "required": ["kind"],
-            "additionalProperties": False,
-            "properties": {
-                "kind": {"enum": [k for k in STATE_KINDS if k != "explicit_matrix"]},
-                "seed": {"type": "integer", "minimum": 0},
-                "pair": {"type": "array", "items": {"type": "integer", "minimum": 0},
-                         "minItems": 2, "maxItems": 2},
-            },
-        },
-        "steps": {"type": "integer", "minimum": 0},
-        "burn_in": {"type": "integer", "minimum": 0},
-        "record": {"type": "array", "items": {"enum": list(OBSERVABLE_NAMES)},
-                   "minItems": 1},
-        "sites": {"type": "array", "items": {"type": "integer", "minimum": 0}, "minItems": 1},
-        "spectrum_site": {"type": "integer", "minimum": 0},
-        "output_dir": {"type": "string"},
-        "seed": {"type": "integer", "minimum": 0},
-    },
-}
-
 
 class ConfigError(ValueError):
     """Invalid or unresolvable experiment configuration."""
+
+
+def _number(value, name: str):
+    """value, when it is a number (a bool or a string is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    return value
+
+
+def _count(value, name: str) -> int:
+    """value, when it is an integer >= 0 (a bool or an integral float is not)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 0:
+        raise ConfigError(f"{name} must be an integer >= 0, got {value!r}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -143,38 +85,26 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "ExperimentConfig":
+        """The config a JSON object describes, validated. A key may not be
+        null; one left out takes its default."""
+        if not isinstance(data, dict):
+            raise ConfigError(f"a config is a JSON object, got {data!r}")
+        objects = [data] + [v for v in data.values() if isinstance(v, dict)]
+        nulls = [k for obj in objects for k, v in obj.items() if v is None]
+        if nulls:
+            raise ConfigError(f"null values for {nulls}; leave such keys out")
+        kwargs = {k: tuple(v) if k in ("record", "sites") and isinstance(v, list) else v
+                  for k, v in data.items()}
         try:
-            jsonschema.validate(data, CONFIG_SCHEMA)
-        except jsonschema.ValidationError as exc:
-            raise ConfigError(f"config rejected by schema: {exc.message}") from exc
-        kwargs = dict(data)
-        if "record" in kwargs:
-            kwargs["record"] = tuple(kwargs["record"])
-        if "sites" in kwargs:
-            kwargs["sites"] = tuple(kwargs["sites"])
-        cfg = ExperimentConfig(**kwargs)
+            cfg = ExperimentConfig(**kwargs)
+        except TypeError as exc:    # a missing or unknown top-level key
+            raise ConfigError(str(exc)) from exc
         cfg.validate()
         return cfg
 
     def to_dict(self) -> dict:
-        out = {
-            "name": self.name,
-            "n": self.n,
-            "hamiltonian": dict(self.hamiltonian),
-            "initial_state": dict(self.initial_state),
-            "steps": self.steps,
-            "burn_in": self.burn_in,
-            "channel": dict(self.channel),
-            "record": list(self.record),
-            "sites": list(self.resolved_sites()),
-            "spectrum_site": self.spectrum_site,
-        }
-        if self.disorder is not None:
-            out["disorder"] = dict(self.disorder)
-        if self.output_dir is not None:
-            out["output_dir"] = self.output_dir
-        if self.seed is not None:
-            out["seed"] = self.seed
+        out = {k: v for k, v in asdict(self).items() if v is not None}
+        out.update(record=list(self.record), sites=list(self.resolved_sites()))
         return out
 
     def resolved_sites(self) -> tuple:
@@ -183,29 +113,51 @@ class ExperimentConfig:
         return tuple(range(min(3, self.n)))
 
     def validate(self) -> None:
+        """Check every field against what a run can take. A fault raises
+        ConfigError; a network above the dense cap raises DimensionCapError."""
+        if not isinstance(self.name, str) or not self.name:
+            raise ConfigError(f"name must be a non-empty string, got {self.name!r}")
+        if self.output_dir is not None and not isinstance(self.output_dir, str):
+            raise ConfigError(f"output_dir must be a string, got {self.output_dir!r}")
+        for key in ("n", "steps", "burn_in", "spectrum_site"):
+            _count(getattr(self, key), key)
+        if self.seed is not None:
+            _count(self.seed, "seed")
+        if self.n < 2:
+            raise ConfigError(f"n must be at least 2, got {self.n}")
         check_qubit_count(self.n)
+        for key in ("hamiltonian", "initial_state", "channel", "disorder"):
+            value = getattr(self, key)
+            if not isinstance(value, dict) and (key != "disorder" or value is not None):
+                raise ConfigError(f"{key} must be an object, got {value!r}")
+        if (not isinstance(self.record, (list, tuple)) or "sx" not in self.record
+                or any(name not in OBSERVABLE_NAMES for name in self.record)):
+            raise ConfigError(f"record must list names of {OBSERVABLE_NAMES}, sx (the "
+                              f"spectrum source) among them, got {self.record!r}")
         sites = self.resolved_sites()
-        if any(s >= self.n for s in sites):
-            raise ConfigError(f"sites {sites} out of range for n={self.n}")
+        if (not isinstance(sites, (list, tuple)) or not sites
+                or any(_count(s, "each site") >= self.n for s in sites)):
+            raise ConfigError(f"sites must list indices below n={self.n}, got {sites!r}")
         if self.spectrum_site not in sites:
             raise ConfigError(
                 f"spectrum_site {self.spectrum_site} is not among recorded sites {sites}")
-        if "sx" not in self.record:
-            raise ConfigError("record must include sx (spectrum source)")
         if self.steps + 1 - self.burn_in < 256:
             raise ConfigError(
                 "need at least 256 post-burn-in records for the spectrum "
                 f"(steps={self.steps}, burn_in={self.burn_in})")
-        self.hamiltonian_spec()   # family/coupling validation
+        # build every spec a run builds, with a stand-in master seed where
+        # resolve_seeds has none yet
+        probe = replace(self, seed=0 if self.seed is None else self.seed).resolve_seeds()
+        probe.hamiltonian_spec()
+        probe.disorder_spec()
         try:    # per-pair maps and normalization, against n
-            self.channel_spec().resolve(self.n)
+            probe.channel_spec().resolve(self.n)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-        if self.initial_state.get("kind") == "eigenpair_superposition":
-            pair = self.initial_state.get("pair")
-            if pair is None or max(pair) >= 2**self.n:
-                raise ConfigError("eigenpair_superposition needs a pair of "
-                                  f"indices below 2^n = {2**self.n}, got {pair}")
+        state = probe.state_spec()
+        if state.kind == "eigenpair_superposition" and max(state.pair) >= 2**self.n:
+            raise ConfigError("eigenpair_superposition needs a pair of "
+                              f"indices below 2^n = {2**self.n}, got {state.pair}")
 
     def resolve_seeds(self, seed_override: int | None = None) -> "ExperimentConfig":
         """Fill in per-component seeds from the master seed or an override."""
@@ -228,10 +180,12 @@ class ExperimentConfig:
                        seed=master if master is not None else self.seed)
 
     def hamiltonian_spec(self) -> HamiltonianSpec:
-        params = {k: v for k, v in self.hamiltonian.items() if k != "family"}
+        for key, value in self.hamiltonian.items():
+            if key != "family":
+                _number(value, f"hamiltonian.{key}")
         try:
-            return HamiltonianSpec(family=self.hamiltonian["family"], n=self.n, **params)
-        except ValueError as exc:
+            return HamiltonianSpec(n=self.n, **self.hamiltonian)
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def disorder_spec(self) -> DisorderSpec | None:
@@ -239,29 +193,45 @@ class ExperimentConfig:
             return None
         if self.disorder.get("seed") is None:
             raise ConfigError("disorder seed unresolved; call resolve_seeds first")
-        return DisorderSpec(base=self.hamiltonian_spec(),
-                            epsilon=float(self.disorder["epsilon"]),
-                            seed=int(self.disorder["seed"]))
+        _count(self.disorder["seed"], "disorder.seed")
+        _number(self.disorder.get("epsilon", 0.0), "disorder.epsilon")
+        try:
+            return DisorderSpec(base=self.hamiltonian_spec(), **self.disorder)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(str(exc)) from exc
 
     def channel_spec(self) -> ChannelSpec:
         ch = dict(self.channel)
+        if not isinstance(ch.get("pair_probabilities", []), (dict, list)):
+            raise ConfigError("channel.pair_probabilities must be a list or an object, "
+                              f"got {ch['pair_probabilities']!r}")
         try:
-            for key in ("pair_probabilities", "kappa"):
-                value = ch.get(key)
-                if isinstance(value, dict):
-                    ch[key] = {tuple(int(x) for x in k.split(",")): v
+            for key, value in self.channel.items():
+                if key in ("pair_probabilities", "kappa") and isinstance(value, dict):
+                    ch[key] = {tuple(int(x) for x in k.split(",")): _number(v, f"channel.{key}")
                                for k, v in value.items()}
+                elif key in ("pair_probabilities", "kappa") and isinstance(value, list):
+                    for v in value:
+                        _number(v, f"channel.{key}")
+                else:
+                    _number(value, f"channel.{key}")
             return ChannelSpec(**ch)
         except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
     def state_spec(self) -> StateSpec:
         st = dict(self.initial_state)
-        if "pair" in st and st["pair"] is not None:
-            st["pair"] = tuple(int(x) for x in st["pair"])
+        if st.get("kind") == "explicit_matrix" or "matrix" in st:
+            raise ConfigError("a config cannot give an explicit_matrix state")
+        if "seed" in st:
+            _count(st["seed"], "initial_state.seed")
+        if "pair" in st:
+            if not isinstance(st["pair"], (list, tuple)) or len(st["pair"]) != 2:
+                raise ConfigError(f"initial_state.pair must hold two indices, got {st['pair']!r}")
+            st["pair"] = tuple(_count(i, "each initial_state.pair index") for i in st["pair"])
         try:
             return StateSpec(**st)
-        except ValueError as exc:
+        except (TypeError, ValueError) as exc:
             raise ConfigError(str(exc)) from exc
 
 

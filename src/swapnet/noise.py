@@ -42,8 +42,8 @@ class DisorderSpec:
     seed: int
 
     def __post_init__(self):
-        if self.epsilon < 0:
-            raise ValueError(f"epsilon must be >= 0, got {self.epsilon}")
+        if not (np.isfinite(self.epsilon) and self.epsilon >= 0):
+            raise ValueError(f"epsilon must be finite and >= 0, got {self.epsilon}")
 
 
 def disordered_coefficients(spec: DisorderSpec) -> dict:

@@ -25,8 +25,18 @@ from swapnet.core import (
     build_hamiltonian,
     magnetization_values,
     make_initial_state,
-    partial_trace,
 )
+
+
+def partial_trace(rho: np.ndarray, drop) -> np.ndarray:
+    """Trace out the sites in `drop`, keeping the rest in site order."""
+    n_sites = int(rho.shape[0]).bit_length() - 1
+    tensor = np.asarray(rho).reshape((2,) * (2 * n_sites))
+    remaining = n_sites
+    for s in sorted(set(drop), reverse=True):
+        tensor = np.trace(tensor, axis1=s, axis2=s + remaining)
+        remaining -= 1
+    return tensor.reshape(2**remaining, 2**remaining)
 
 
 def find_class(classes, tup):

@@ -24,7 +24,6 @@ from swapnet.core import (
     StateSpec,
     build_hamiltonian,
     build_network_hamiltonian,
-    build_swap_operator,
     entropy_from_eigenvalues,
     make_initial_state,
     pair_list,
@@ -32,6 +31,14 @@ from swapnet.core import (
     swap_permutation,
 )
 from swapnet.noise import DisorderSpec, build_disordered_hamiltonian
+
+
+def build_swap_operator(m: int, n: int, n_sites: int) -> np.ndarray:
+    """Swap unitary SW_mn exchanging sites m and n (a basis permutation)."""
+    perm = swap_permutation(n_sites, m, n)
+    sw = np.zeros((perm.size, perm.size), dtype=complex)
+    sw[perm, np.arange(perm.size)] = 1.0
+    return sw
 
 
 def expm_hermitian(h, dt=1.0):
@@ -83,6 +90,18 @@ class TestSpecResolution:
             ChannelSpec(kappa=[1.0, 2.0]).resolve(3)
         with pytest.raises(ValueError):
             ChannelSpec().resolve(1)
+        for bad in (0.0, -1.0, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ChannelSpec(dt=bad).resolve(3)
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                ChannelSpec(kappa=bad).resolve(3)
+            with pytest.raises(ValueError):
+                ChannelSpec(pair_probabilities=[bad, 0.4, 0.4]).resolve(3)
+        # a zero step would compile the identity map
+        h = build_hamiltonian(HamiltonianSpec(family="ising", n=2, j_z=0.4, h=0.1))
+        with pytest.raises(ValueError, match="dt"):
+            build_channel(h, ChannelSpec(dt=0))
 
 
 class TestBuildModes:

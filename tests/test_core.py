@@ -12,14 +12,12 @@ from swapnet.core import (
     _sector_component,
     build_hamiltonian,
     build_network_hamiltonian,
-    build_swap_operator,
     charge_sectors,
     check_qubit_count,
     entropy_from_eigenvalues,
     magnetization_values,
     make_initial_state,
     pair_list,
-    partial_trace,
     popcounts,
     single_site_expectations,
     swap_commutation_residual,
@@ -28,6 +26,25 @@ from swapnet.core import (
     validate_density_matrix,
 )
 from swapnet.noise import DisorderSpec, build_disordered_hamiltonian
+
+
+def build_swap_operator(m: int, n: int, n_sites: int) -> np.ndarray:
+    """Swap unitary SW_mn exchanging sites m and n (a basis permutation)."""
+    perm = swap_permutation(n_sites, m, n)
+    sw = np.zeros((perm.size, perm.size), dtype=complex)
+    sw[perm, np.arange(perm.size)] = 1.0
+    return sw
+
+
+def partial_trace(rho: np.ndarray, drop) -> np.ndarray:
+    """Trace out the sites in `drop`, keeping the rest in site order."""
+    n_sites = int(rho.shape[0]).bit_length() - 1
+    tensor = np.asarray(rho).reshape((2,) * (2 * n_sites))
+    remaining = n_sites
+    for s in sorted(set(drop), reverse=True):
+        tensor = np.trace(tensor, axis1=s, axis2=s + remaining)
+        remaining -= 1
+    return tensor.reshape(2**remaining, 2**remaining)
 
 
 def kron_all(factors) -> np.ndarray:

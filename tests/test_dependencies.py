@@ -4,7 +4,7 @@ from pathlib import Path
 
 import swapnet
 
-DECLARED = {"numpy", "jsonschema"}          # pyproject's [project] dependencies
+DECLARED = {"numpy"}          # pyproject's [project] dependencies
 
 
 def test_package_imports_only_declared_dependencies():

@@ -41,19 +41,80 @@ class TestConfig:
         assert again.to_dict() == cfg.to_dict()
 
     def test_schema_rejections(self):
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(tiny_config(extra_key=1))
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(tiny_config(steps=-5))
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(
-                tiny_config(hamiltonian={"family": "heisenberg"}))
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(tiny_config(record=["sx", "energy"]))
-        missing = tiny_config()
-        del missing["steps"]
-        with pytest.raises(ConfigError):
-            ExperimentConfig.from_dict(missing)
+        # one input per rule of the config format: missing and unknown keys,
+        # wrong types (booleans, strings and nulls where numbers belong),
+        # enums, ranges, negative integers, empty lists and the state kinds a
+        # file cannot give
+        state = {"kind": "eigenpair_superposition", "pair": [0, 1]}
+        bad = [{k: v for k, v in tiny_config().items() if k != key} for key in
+               ("name", "n", "hamiltonian", "initial_state", "steps", "burn_in")]
+        bad += [tiny_config(hamiltonian={"j_z": 0.4, "h": 0.1}),
+                tiny_config(initial_state={"seed": 3}),
+                tiny_config(disorder={"seed": 1})]
+        bad += [tiny_config(extra_key=1),
+                tiny_config(hamiltonian={"family": "ising", "j_z": 0.4, "n": 2}),
+                tiny_config(hamiltonian={"family": "ising", "j_z": 0.4, "k": 1.0}),
+                tiny_config(channel={"p0": 0.2, "beta": 1.0}),
+                tiny_config(initial_state={"kind": "haar_random_pure", "seed": 3,
+                                           "matrix": [[1, 0], [0, 0]]}),
+                tiny_config(disorder={"epsilon": 0.1, "seed": 1, "base": "ising"})]
+        for wrong in ("1", True, None):
+            bad += [tiny_config(**{key: wrong}) for key in
+                    ("n", "steps", "burn_in", "spectrum_site", "seed")]
+            bad += [tiny_config(hamiltonian={"family": "ising", "j_z": 0.4, key: wrong})
+                    for key in ("j_x", "j_y", "j_z", "h", "t")]
+            bad += [tiny_config(channel={key: wrong})
+                    for key in ("p0", "pair_probabilities", "kappa", "dt")]
+            bad += [tiny_config(channel={"pair_probabilities": [wrong]}),
+                    tiny_config(channel={"pair_probabilities": {"0,1": wrong}}),
+                    tiny_config(channel={"kappa": [wrong]}),
+                    tiny_config(channel={"kappa": {"0,1": wrong}}),
+                    tiny_config(initial_state={"kind": "haar_random_pure", "seed": wrong}),
+                    tiny_config(initial_state={**state, "pair": [0, wrong]}),
+                    tiny_config(disorder={"epsilon": wrong, "seed": 1}),
+                    tiny_config(disorder={"epsilon": 0.1, "seed": wrong}),
+                    tiny_config(sites=[0, wrong]),
+                    tiny_config(record=["sx", wrong])]
+        bad += [tiny_config(**{key: [0]}) for key in
+                ("name", "n", "hamiltonian", "initial_state", "steps", "burn_in",
+                 "channel", "disorder", "record", "spectrum_site",
+                 "output_dir", "seed")]
+        bad += [tiny_config(name=""), tiny_config(name=None), tiny_config(name=5),
+                tiny_config(output_dir=None), tiny_config(output_dir=5),
+                tiny_config(record=None), tiny_config(record="sx"),
+                tiny_config(record={"sx": 1}), tiny_config(sites=None),
+                tiny_config(sites="01"), tiny_config(disorder=None),
+                tiny_config(channel=None), tiny_config(hamiltonian=None),
+                tiny_config(initial_state=None), tiny_config(channel={"pair_probabilities": 0.8}),
+                tiny_config(initial_state={**state, "pair": "01"}),
+                tiny_config(initial_state={**state, "pair": None}),
+                tiny_config(hamiltonian={"family": 5}),
+                tiny_config(initial_state={"kind": 5}),
+                tiny_config(initial_state={"kind": None})]
+        bad += [tiny_config(hamiltonian={"family": "heisenberg"}),
+                tiny_config(initial_state={"kind": "bogus"}),
+                tiny_config(record=["sx", "energy"])]
+        bad += [tiny_config(n=1), tiny_config(n=0), tiny_config(n=-3),
+                tiny_config(channel={"p0": 0.0}), tiny_config(channel={"p0": 1.0}),
+                tiny_config(channel={"p0": -0.2}), tiny_config(channel={"p0": 1.5}),
+                tiny_config(channel={"dt": 0.0}), tiny_config(channel={"dt": -1.0}),
+                tiny_config(disorder={"epsilon": -0.1, "seed": 1})]
+        bad += [tiny_config(**{key: -1}) for key in
+                ("steps", "burn_in", "spectrum_site", "seed")]
+        bad += [tiny_config(sites=[0, -1]),
+                tiny_config(initial_state={"kind": "haar_random_pure", "seed": -1}),
+                tiny_config(initial_state={**state, "pair": [-1, 1]}),
+                tiny_config(disorder={"epsilon": 0.1, "seed": -1})]
+        bad += [tiny_config(record=[]), tiny_config(sites=[])]
+        bad += [tiny_config(initial_state={"kind": "explicit_matrix"}),
+                tiny_config(initial_state={"kind": "explicit_matrix",
+                                           "matrix": [[1, 0], [0, 0]]})]
+        bad += [tiny_config(initial_state={**state, "pair": [1]}),
+                tiny_config(initial_state={**state, "pair": [0, 1, 2]})]
+        bad += [[], "config", None]
+        for data in bad:
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict(data)
 
     def test_semantic_rejections(self):
         with pytest.raises(ConfigError):
@@ -70,6 +131,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict(tiny_config(
                 initial_state={"kind": "eigenpair_superposition"}))
+        # JSON's NaN and Infinity literals parse as floats
+        for over in ({"channel": {"dt": float("nan")}}, {"channel": {"dt": float("inf")}},
+                     {"channel": {"kappa": float("nan")}},
+                     {"disorder": {"epsilon": float("nan"), "seed": 1}},
+                     {"disorder": {"epsilon": float("inf"), "seed": 1}}):
+            with pytest.raises(ConfigError):
+                ExperimentConfig.from_dict(tiny_config(**over))
 
     def test_dimension_cap(self):
         with pytest.raises(DimensionCapError):
@@ -236,9 +304,16 @@ class TestCli:
         {"n": 3, "sites": [0, 1], "channel": {"kappa": {"0,1": 1.0}}},
         {"channel": {"p0": 0.2, "pair_probabilities": [0.5]}},
         {"initial_state": {"kind": "eigenpair_superposition", "pair": [1, 4]}},
-    ], ids=["kappa_missing_pairs", "probabilities_not_normalized", "pair_out_of_range"])
+        {"steps": 300.0},
+        {"n": 2.0},
+        {"burn_in": 0.0},
+        {"seed": 4.0, "initial_state": {"kind": "haar_random_pure"}},
+        {"initial_state": {"kind": "haar_random_pure", "seed": 4.0}},
+    ], ids=["kappa_missing_pairs", "probabilities_not_normalized", "pair_out_of_range",
+            "float_steps", "float_n", "float_burn_in", "float_seed", "float_state_seed"])
     def test_unresolvable_config_exits_before_writing(self, over, tmp_path, capsys):
-        # schema-valid configs that the channel or initial state cannot take
+        # configs that the channel or initial state cannot take, and integer
+        # fields given as integral floats
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(tiny_config(**over)))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
