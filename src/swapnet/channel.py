@@ -22,9 +22,11 @@ U0^n on the occupied blocks.
 A dense channel's members are block-diagonal, so Phi maps each block pair
 X[a, b] to itself (a strong symmetry): the dense stepper computes
 y[a, b] = sum_k w_k U_k^a x[a, b] U_k^b^dag pair by pair with K d_a d_b of
-scratch, and on an exactly Hermitian operand only the pairs a >= b, mirroring
-the rest. build_channel refuses a dense channel whose members and stepper
-would not fit in physical memory (dense_memory_bytes).
+scratch, or in chunks of rows past PAIR_SCRATCH_DIMSQ dim^2, and on an
+exactly Hermitian operand only the pairs a >= b, mirroring the rest. Without
+sectors the one block is the whole space, its only pair. build_channel
+refuses a dense channel whose members, compile and stepper would not fit in
+available memory (dense_memory_bytes).
 
 The product-form mixer has two halves. Summed over pairs, the partial-swap
 sandwiches give sum_k w_k s_k^2 SW_k rho SW_k, formed pair by pair on
@@ -68,6 +70,12 @@ UNITALITY_TOL = 1e-12
 # there, two full matmuls cost less than the Python overhead of a pair per
 # popcount sector (one BLAS thread, n=3: 21 against 41 us per mix).
 SWAP_SUM_SECTOR_DIM = 64
+# Bound of the dense stepper's scratch, in dim^2 entries, past which a block
+# pair goes in chunks of rows. Popcount sectors stay below 4 dim^2 up to
+# n=10, so only a channel without sectors splits. Disordered tfi at n=8
+# (K = 29, one BLAS thread, medians of 3): 161, 146 and 142 ms per step at
+# bounds of 4, 8 and 16 dim^2, at a peak RSS of 111, 113 and 127 MB.
+PAIR_SCRATCH_DIMSQ = 8
 
 
 class ChannelInvariantError(RuntimeError):
@@ -256,28 +264,38 @@ def _check_unitary(mats) -> None:
             raise ValueError(f"mixture member not unitary, residual {u_err:.3e}")
 
 
-def dense_memory_bytes(n_sites: int, block_sizes, n_members: int, support) -> int:
-    """Estimated bytes of a dense channel and its stepper, from sizes alone.
+def _scratch_entries(n_members: int, largest: int, dim: int) -> int:
+    """Entries of the dense stepper's scratch: K d^2 for the largest block d,
+    or PAIR_SCRATCH_DIMSQ dim^2 past that bound, never below one row's K d."""
+    return min(n_members * largest**2, max(PAIR_SCRATCH_DIMSQ * dim**2, n_members * largest))
+
+
+def dense_memory_bytes(n_sites: int, block_sizes, n_members: int) -> int:
+    """Estimated bytes of a dense channel, its compile and its stepper, from
+    sizes alone.
 
     The K members of every block and their adjoints take 2 K sum_b d_b^2
-    complex entries. The stepper holds the state and the checked copy of a
-    validate step (2 dim^2), both gathered onto the blocks numbered in
-    support (2 D^2, D the sum of their sizes), and its scratch: K max d_a d_b
-    over the support for one block pair, or four dim^2 buffers when the
-    one block of a Hamiltonian without sectors is summed member by member.
+    complex entries. Eight dim^2 operators come on top: three Hamiltonians
+    alive during the compile (H, the member's H + kappa SW, and the clean H
+    a disordered run holds beside H), the state and the checked copy of a
+    validate step, and the stepper's gathered state, its double buffer and
+    the gathered checked state that eigvalsh reads. Then the stepper's
+    scratch (_scratch_entries).
     """
-    sizes = [int(block_sizes[b]) for b in support]
-    gathered = sum(sizes)
-    largest = max(sizes, default=0) ** 2
-    scratch = 4 * largest if len(block_sizes) == 1 else n_members * largest
-    entries = (2 * n_members * sum(int(d) ** 2 for d in block_sizes)
-               + 2 * 4**n_sites + 2 * gathered**2 + scratch)
-    return 16 * entries
+    dim = 2**n_sites
+    return 16 * (2 * n_members * sum(int(d) ** 2 for d in block_sizes) + 8 * dim**2
+                 + _scratch_entries(n_members, int(max(block_sizes)), dim))
 
 
 def _memory_budget() -> int:
-    """Physical memory of the host in bytes."""
-    return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    """Available memory of the host in bytes: MemAvailable, or the physical
+    memory where /proc/meminfo does not give it."""
+    try:
+        with open("/proc/meminfo") as f:
+            fields = dict(line.split(":", 1) for line in f)
+        return int(fields["MemAvailable"].split()[0]) * 1024
+    except (OSError, KeyError, ValueError):
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
 
 
 def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
@@ -287,7 +305,7 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
     (residual <= 1e-10), otherwise dense eigendecomposition per pair. Every
     eigendecomposition runs per charge sector when H has them. A dense
     channel whose dense_memory_bytes estimate (every block occupied) exceeds
-    physical memory raises DimensionCapError before its members are built.
+    available memory raises DimensionCapError before its members are built.
     """
     spec = spec or ChannelSpec()
     n_sites = sites_from_dim(H.shape[0])
@@ -323,12 +341,12 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
 
     # Dense: every mixture member, block by block (non-commuting pairs).
     sizes = [idx.size for idx in blocks]
-    need = dense_memory_bytes(n_sites, sizes, len(weights), range(len(blocks)))
+    need = dense_memory_bytes(n_sites, sizes, len(weights))
     budget = _memory_budget()
     if need > budget:
         raise DimensionCapError(
-            f"dense channel of {n_sites} qubits needs about {need / 2**30:.1f} GiB "
-            f"(members and stepper), more than the {budget / 2**30:.1f} GiB of physical memory")
+            f"dense channel of {n_sites} qubits needs about {need / 2**30:.1f} GiB (members, "
+            f"compile and stepper), more than the {budget / 2**30:.1f} GiB of available memory")
     u0 = ch.u0_blocks() if diag_h else _blockwise_exp(H, blocks, spec.dt)
     rows = [np.empty((d, len(weights), d), dtype=complex) for d in sizes]
     for k in range(len(weights)):
@@ -473,46 +491,46 @@ def _dense_steps(ch: Channel, sigma: np.ndarray, members: list, gather: tuple, v
     y[a, b] = sum_k U_k^a x[a, b] (w_k U_k^b^dag). The rows of every member
     go in one GEMM into K d_a d_b of scratch, and the columns and the sum
     over members in one GEMM over the stacked weighted adjoints, written
-    over x[a, b]. An exactly Hermitian x (every state) takes the half form:
-    only the pairs a >= b, the strict upper triangle mirrored from the lower
-    and the diagonal made real, so x stays exactly Hermitian. Any other
-    operand gets every pair, until a step leaves it exactly Hermitian. The
-    form follows the operand, so apply_channel repeated and this stepper
-    agree bit for bit. A checked step of the half form computes every pair
-    and yields that unmirrored result as the checked state, so the checks
-    (and the entropy record, which shares their eigvalsh) read pairs a < b
-    computed on their own and the Hermiticity error is measured, not zero
-    by construction. The stored state is the mirrored one either way.
-
-    Without sectors the one block is the whole space, where that scratch
-    would be K dim^2; there the members are summed one at a time in member
-    order, with four dim^2 buffers.
+    into a second buffer and copied back. Past PAIR_SCRATCH_DIMSQ dim^2 of
+    scratch (the one block of a channel without sectors), the rows of block
+    a go in chunks, a GEMM pair each. An exactly Hermitian x (every state)
+    takes the half form: only the pairs a >= b, the strict upper triangle
+    mirrored from the lower and the diagonal made real, so x stays exactly
+    Hermitian. Any other operand gets every pair, until a step leaves it
+    exactly Hermitian. The form follows the operand, so apply_channel
+    repeated and this stepper agree bit for bit. A checked step of the half
+    form computes every pair and yields that unmirrored result as the
+    checked state, so the checks (and the entropy record, which shares
+    their eigvalsh) read pairs a < b computed on their own and the
+    Hermiticity error is measured, not zero by construction. The stored
+    state is the mirrored one either way.
     """
-    x = sigma[gather]
-    if ch.sectors is None and members:
-        yield from _member_steps(ch, sigma, members[0][0], gather, x)
-        return
     n_members = len(ch.weights)
     sizes = [rows.shape[0] for rows, _ in members]
     spans = _spans(sizes)
-    scratch = np.empty(n_members * max(sizes, default=0) ** 2, dtype=complex)
+    scratch = np.empty(_scratch_entries(n_members, max(sizes, default=0), ch.dim), complex)
+    x = sigma[gather]
+    y = np.empty_like(x)
     lower, upper = [], []
-    for a, b in product(range(len(sizes)), repeat=2):
-        da, db = sizes[a], sizes[b]
-        by_row = scratch[:n_members * da * db]
-        kernel = (members[a][0].reshape(da * n_members, da), x[spans[a], spans[b]],
-                  by_row.reshape(da * n_members, db), by_row.reshape(da, n_members * db),
-                  members[b][1].reshape(n_members * db, db))
-        (lower if a >= b else upper).append(kernel)
+    for (a, da), (b, db) in product(enumerate(sizes), repeat=2):
+        chunk = max(1, scratch.size // (n_members * db))
+        for lo in range(0, da, chunk):
+            rows = members[a][0][lo:lo + chunk]
+            by_row = scratch[:len(rows) * n_members * db]
+            (lower if a >= b else upper).append((
+                rows.reshape(-1, da), x[spans[a], spans[b]], by_row.reshape(-1, db),
+                by_row.reshape(len(rows), -1), members[b][1].reshape(-1, db),
+                y[spans[a]][lo:lo + chunk, spans[b]]))
     every_pair = lower + upper
     strict_upper = np.triu(np.ones(x.shape, dtype=bool), 1)
     half = np.array_equal(x, x.conj().T)
     checked = None
     while True:
-        for rows, block, by_row, by_col, cols in (
+        for rows, block, by_row, by_col, cols, out in (
                 lower if half and not validate else every_pair):
             np.matmul(rows, block, out=by_row)
-            np.matmul(by_col, cols, out=block)
+            np.matmul(by_col, cols, out=out)
+        np.copyto(x, y)
         measured = half and validate
         if measured:
             if checked is None:
@@ -524,24 +542,6 @@ def _dense_steps(ch: Channel, sigma: np.ndarray, members: list, gather: tuple, v
         sigma[gather] = x
         half = half or np.array_equal(x, x.conj().T)
         validate = yield sigma, (checked if measured else sigma)
-
-
-def _member_steps(ch: Channel, sigma: np.ndarray, rows: np.ndarray, gather: tuple,
-                  x: np.ndarray):
-    """One block of every index, the members U_k = rows[:, k]:
-    y = sum_k (w_k U_k x) U_k^dag, member by member, in member order."""
-    left, term, acc, u_dag = (np.empty_like(x) for _ in range(4))
-    while True:
-        for k, w in enumerate(ch.weights):
-            np.matmul(rows[:, k], x, out=left)
-            left *= w
-            np.conjugate(rows[:, k].T, out=u_dag)
-            np.matmul(left, u_dag, out=acc if k == 0 else term)
-            if k:
-                acc += term
-        x, acc = acc, x
-        sigma[gather] = x
-        yield sigma, sigma
 
 
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:

@@ -287,7 +287,8 @@ class StateSpec:
     kinds: haar_random_pure (needs seed), plus_zero_product,
     w_plus_superposition, eigenpair_superposition (needs pair of full-spectrum
     eigenvector indices and a Hamiltonian at build time), maximally_mixed,
-    explicit_matrix (needs matrix).
+    explicit_matrix (needs matrix). The kinds that do not read seed, pair or
+    matrix refuse it.
     """
 
     kind: str
@@ -300,15 +301,14 @@ class StateSpec:
             raise ValueError(
                 f"unknown state kind {self.kind!r}, expected one of {STATE_KINDS}"
             )
-        if self.kind == "haar_random_pure" and self.seed is None:
-            raise ValueError("haar_random_pure requires a seed")
-        if self.kind == "eigenpair_superposition":
-            if self.pair is None or len(self.pair) != 2:
-                raise ValueError("eigenpair_superposition requires pair=(a, b)")
-            if self.pair[0] == self.pair[1]:
-                raise ValueError("eigenpair_superposition requires a != b")
-        if self.kind == "explicit_matrix" and self.matrix is None:
-            raise ValueError("explicit_matrix requires matrix")
+        for key, kind in (("seed", "haar_random_pure"), ("pair", "eigenpair_superposition"),
+                          ("matrix", "explicit_matrix")):
+            if (getattr(self, key) is None) == (self.kind == kind):
+                needs = "requires" if self.kind == kind else "does not read"
+                raise ValueError(f"{self.kind} {needs} {key}")
+        if self.kind == "eigenpair_superposition" and (
+                len(self.pair) != 2 or self.pair[0] == self.pair[1]):
+            raise ValueError("eigenpair_superposition requires pair=(a, b) with a != b")
 
 
 def pure_state_density(psi: np.ndarray) -> np.ndarray:

@@ -1,3 +1,5 @@
+import io
+import os
 import tracemalloc
 from itertools import islice
 
@@ -344,21 +346,26 @@ class TestIterate:
                 assert not np.shares_memory(iterate_channel(ch, rho, steps).final_state, rho)
 
     def test_dense_stepper_matches_repeated_application(self):
-        # the dense stepper reuses two stack buffers; every returned state is
-        # bit-identical to apply_channel and owns its memory. The Haar start
-        # occupies every popcount sector, so the whole stack is stepped.
-        h = build_network_hamiltonian(4, jx=0.4, jy=0.4, hz=[0.1, 0.13, 0.07, 0.1])
-        ch = build_channel(h)
-        assert ch.mode == "dense" and ch.sectors is not None
-        rho = haar_state(4, 13)
-        states = [state.copy() for state, _ in islice(_states(ch, rho), 41)]
-        direct = rho
-        for n in range(1, 41):
-            direct = apply_channel(ch, direct)
-            assert np.array_equal(states[n], direct)
-        traj = iterate_channel(ch, rho, 40, record=("sx",))
-        assert np.array_equal(traj.final_state, direct)
-        assert not np.shares_memory(traj.final_state, iterate_channel(ch, rho, 40).final_state)
+        # the dense stepper reuses two buffers; every returned state is
+        # bit-identical to apply_channel, exactly Hermitian, and owns its
+        # memory. The Haar start occupies every popcount sector of the
+        # sectored channel, and the one block of disordered tfi.
+        for h, sectored in [
+                (build_network_hamiltonian(4, jx=0.4, jy=0.4, hz=[0.1, 0.13, 0.07, 0.1]), True),
+                (disordered("tfi", 4, seed=2, j_z=0.4, t=0.3), False)]:
+            ch = build_channel(h)
+            assert ch.mode == "dense" and (ch.sectors is not None) == sectored
+            rho = haar_state(4, 13)
+            states = [state.copy() for state, _ in islice(_states(ch, rho), 41)]
+            direct = rho
+            for n in range(1, 41):
+                direct = apply_channel(ch, direct)
+                assert np.array_equal(states[n], direct)
+                assert np.array_equal(direct, direct.conj().T)
+            traj = iterate_channel(ch, rho, 40, record=("sx",))
+            assert np.array_equal(traj.final_state, direct)
+            assert not np.shares_memory(traj.final_state,
+                                        iterate_channel(ch, rho, 40).final_state)
 
     def test_invariants_hold_over_long_run(self):
         ch = build_channel(ISING3)
@@ -533,8 +540,9 @@ class TestChargeSectors:
         assert peak < len(ch.weights) * ch.dim**2 * 16 / 4
 
     def test_hamiltonian_without_sectors_takes_full_path(self):
-        # disordered tfi mixes popcounts; the Haar-start case of a sectored
-        # channel is test_dense_stepper_matches_repeated_application
+        # disordered tfi mixes popcounts, so its one block is the whole space
+        # and its only pair; the stepper agrees with the sum written out and
+        # keeps the state exactly Hermitian
         n = 4
         couplings = dict(j_z=0.4, t=0.3)
         ch = build_channel(disordered("tfi", n, seed=2, **couplings))
@@ -542,27 +550,47 @@ class TestChargeSectors:
         rho0 = eigenpair_start(build_hamiltonian(HamiltonianSpec(family="tfi", n=n, **couplings)),
                                n, (0, 5))
         for ref, (state, _) in zip(full_path(ch, rho0, 60), islice(_states(ch, rho0), 1, None)):
-            assert np.array_equal(state, ref)
+            assert np.max(np.abs(state - ref)) <= 1e-14
+            assert np.array_equal(state, state.conj().T)
+
+    def test_row_chunks_match_one_pair(self, monkeypatch):
+        # a scratch bound below K dim^2 splits the one block's rows into
+        # chunks of two; the chunked stepper agrees with the unsplit one at
+        # roundoff and with apply_channel bit for bit
+        ch = build_channel(disordered("tfi", 4, seed=2, j_z=0.4, t=0.3))
+        rho0 = haar_state(4, 5)
+        whole = [state.copy() for state, _ in islice(_states(ch, rho0), 21)]
+        monkeypatch.setattr(channel, "PAIR_SCRATCH_DIMSQ", 1)
+        assert channel._scratch_entries(len(ch.weights), ch.dim, ch.dim) == ch.dim**2
+        direct = rho0
+        for ref, (state, _) in zip(whole[1:], islice(_states(ch, rho0), 1, None)):
+            direct = apply_channel(ch, direct)
+            assert np.array_equal(state, direct)
+            assert np.max(np.abs(state - ref)) <= 1e-15
+            assert np.array_equal(state, state.conj().T)
 
 
 class TestBlockPairStepper:
     def test_hermiticity_error_is_measured(self):
         # a checked step computes every block pair and yields that unmirrored
         # result, so the error is roundoff, not zero by construction; the
-        # stored state is the mirrored one whether or not steps are checked
-        ch = build_channel(disordered("xx", 4, seed=2, j_x=0.4, h=1.0))
-        assert ch.mode == "dense" and ch.sectors is not None
-        rho0 = haar_state(4, 3)
-        assert np.array_equal(rho0, rho0.conj().T)
-        checked = iterate_channel(ch, rho0, 20, validate_stride=1)
-        plain = iterate_channel(ch, rho0, 20)
-        assert 0.0 < checked.invariants.max_hermiticity_error <= 1e-15
-        assert checked.invariants.passed()
-        final = checked.final_state
-        assert np.array_equal(final, plain.final_state)
-        assert np.array_equal(final, final.conj().T)
-        for name, values in plain.records.items():
-            assert np.max(np.abs(checked.records[name] - values)) <= 1e-14
+        # stored state is the mirrored one whether or not steps are checked.
+        # Disordered tfi has one block, so its only pair is the diagonal one.
+        for h, sectored in [(disordered("xx", 4, seed=2, j_x=0.4, h=1.0), True),
+                            (disordered("tfi", 4, seed=2, j_z=0.4, t=0.3), False)]:
+            ch = build_channel(h)
+            assert ch.mode == "dense" and (ch.sectors is not None) == sectored
+            rho0 = haar_state(4, 3)
+            assert np.array_equal(rho0, rho0.conj().T)
+            checked = iterate_channel(ch, rho0, 20, validate_stride=1)
+            plain = iterate_channel(ch, rho0, 20)
+            assert 0.0 < checked.invariants.max_hermiticity_error <= 1e-15
+            assert checked.invariants.passed()
+            final = checked.final_state
+            assert np.array_equal(final, plain.final_state)
+            assert np.array_equal(final, final.conj().T)
+            for name, values in plain.records.items():
+                assert np.max(np.abs(checked.records[name] - values)) <= 1e-14
 
     def test_checked_state_is_the_every_pair_result(self):
         # the stepper's checked state on a checked step agrees with the stored
@@ -578,44 +606,65 @@ class TestBlockPairStepper:
 
     def test_haar_step_allocates_less_than_one_member_stack(self):
         # a Haar start occupies every popcount sector; the step's scratch is
-        # one block pair's K d_a d_b, not a (K, dim, dim) buffer
-        ch = build_channel(disordered("xx", 7, seed=5, j_x=0.4, h=1.0))
-        assert ch.mode == "dense"
-        rho0 = haar_state(7, 5)
-        tracemalloc.start()
-        try:
-            apply_channel(ch, rho0)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < len(ch.weights) * ch.dim**2 * 16
+        # one block pair's K d_a d_b, not a (K, dim, dim) buffer. Without
+        # sectors (K = 22 here) it is capped at PAIR_SCRATCH_DIMSQ = 8 dim^2,
+        # beside about five dim^2 of state buffers.
+        for h, dim_squares in [(disordered("xx", 7, seed=5, j_x=0.4, h=1.0), 22),
+                               (disordered("tfi", 7, seed=5, j_z=0.4, t=0.3), 8 + 6)]:
+            ch = build_channel(h)
+            assert ch.mode == "dense" and len(ch.weights) == 22
+            rho0 = haar_state(7, 5)
+            tracemalloc.start()
+            try:
+                apply_channel(ch, rho0)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < dim_squares * ch.dim**2 * 16
 
 
 class TestMemoryPreflight:
     def test_estimate_matches_hand_count(self):
-        # n=4 popcount sectors 1, 4, 6, 4, 1 with K = 7 members, start on
-        # sectors 1 and 2 (D = 10): members and adjoints 2*7*70, state and
-        # checked copy 2*256, gathered 2*100, pair scratch 7*36 entries
-        assert dense_memory_bytes(4, [1, 4, 6, 4, 1], 7, [1, 2]) == 16 * (980 + 512 + 200 + 252)
-        # one block of every index: members 2*7*256, state 2*256, gathered
-        # 2*256 and four 256-entry buffers of the member-by-member sum
-        assert dense_memory_bytes(4, [16], 7, [0]) == 16 * (3584 + 512 + 512 + 1024)
+        # n=4 popcount sectors 1, 4, 6, 4, 1 with K = 7 members: members and
+        # adjoints 2*7*70, eight 256-entry operators (three Hamiltonians,
+        # state and checked copy, gathered state, its double buffer and the
+        # gathered checked state), pair scratch 7*36 entries
+        assert dense_memory_bytes(4, [1, 4, 6, 4, 1], 7) == 16 * (980 + 2048 + 252)
+        # one block of every index: members 2*7*256, eight 256-entry
+        # operators, and scratch 7*256, below the bound of PAIR_SCRATCH_DIMSQ
+        # dim^2 = 8*256
+        assert channel.PAIR_SCRATCH_DIMSQ == 8
+        assert dense_memory_bytes(4, [16], 7) == 16 * (3584 + 2048 + 1792)
+        # one block at n=8, K = 29: the scratch is capped at 8 dim^2
+        assert dense_memory_bytes(8, [256], 29) == 16 * (2 * 29 + 8 + 8) * 256**2
         # n=10 XX, K = 46: the members alone are 2*46*C(20, 10) entries
         sizes = [int(v) for v in np.bincount(popcounts(10))]
         members = 2 * 46 * 184756 * 16
         assert members == 271_960_832
-        assert dense_memory_bytes(10, sizes, 46, range(11)) == (
-            members + 16 * (2 * 4**10 + 2 * 4**10 + 46 * 252**2))
+        assert dense_memory_bytes(10, sizes, 46) == members + 16 * (8 * 4**10 + 46 * 252**2)
 
     def test_over_budget_channel_is_refused(self, monkeypatch):
         h = disordered("xx", 4, seed=1, j_x=0.4, h=1.0)
-        need = dense_memory_bytes(4, [1, 4, 6, 4, 1], 7, range(5))
+        need = dense_memory_bytes(4, [1, 4, 6, 4, 1], 7)
         monkeypatch.setattr(channel, "_memory_budget", lambda: need - 1)
         with pytest.raises(DimensionCapError, match="GiB"):
             build_channel(h)
         assert build_channel(XX3).mode == "product"     # holds no members
         monkeypatch.setattr(channel, "_memory_budget", lambda: need)
         assert build_channel(h).mode == "dense"
+
+    def test_budget_is_available_memory(self, monkeypatch):
+        # MemAvailable where the kernel reports it, else physical memory
+        physical = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+        assert 0 < channel._memory_budget() <= physical
+        meminfo = "MemTotal:       8000000 kB\nMemAvailable:      1000 kB\n"
+        monkeypatch.setattr(channel, "open", lambda *args: io.StringIO(meminfo), raising=False)
+        assert channel._memory_budget() == 1000 * 1024
+
+        def unreadable(*args):
+            raise OSError("no meminfo")
+        monkeypatch.setattr(channel, "open", unreadable, raising=False)
+        assert channel._memory_budget() == physical
 
 
 class TestSpectralStructure:

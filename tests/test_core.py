@@ -345,6 +345,13 @@ class TestStates:
         with pytest.raises(ValueError):
             StateSpec(kind="haar_random_pure")
 
+    def test_keys_the_kind_does_not_read_are_refused(self):
+        for spec in [dict(kind="plus_zero_product", seed=4),
+                     dict(kind="maximally_mixed", pair=(0, 1)),
+                     dict(kind="haar_random_pure", seed=1, matrix=np.eye(2))]:
+            with pytest.raises(ValueError, match="does not read"):
+                StateSpec(**spec)
+
     def test_eigenpair_superposition(self):
         h = build_hamiltonian(HamiltonianSpec(family="xx", n=2, j_x=0.4, h=0.1))
         rho = make_initial_state(StateSpec(kind="eigenpair_superposition", pair=(2, 3)),

@@ -111,6 +111,12 @@ class TestConfig:
                                            "matrix": [[1, 0], [0, 0]]})]
         bad += [tiny_config(initial_state={**state, "pair": [1]}),
                 tiny_config(initial_state={**state, "pair": [0, 1, 2]})]
+        # a key the chosen kind does not read
+        bad += [tiny_config(initial_state={"kind": "plus_zero_product", "pair": [0, 99]}),
+                tiny_config(initial_state={"kind": "plus_zero_product", "seed": 4}),
+                tiny_config(initial_state={**state, "seed": 4}),
+                tiny_config(initial_state={"kind": "haar_random_pure", "seed": 3,
+                                           "pair": [0, 1]})]
         bad += [[], "config", None]
         for data in bad:
             with pytest.raises(ConfigError):
@@ -334,7 +340,7 @@ class TestCli:
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(tiny_config(disorder={"epsilon": 0.1, "seed": 1})))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 4
-        assert "physical memory" in capsys.readouterr().err
+        assert "available memory" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     def test_acceptance_is_not_a_preset(self, capsys):
