@@ -4,9 +4,10 @@ The channel is the convex mixture
 
     Phi(rho) = p0 U0 rho U0^dag + sum_<mn> p_mn U_mn rho U_mn^dag
 
-with U0 = e^{+iH dt} and U_mn = e^{i(H + kappa_mn SW_mn) dt}. When H commutes
-with a swap (uniform couplings), U_mn factorizes as U0 times the partial swap
-cos(kappa dt) I + i sin(kappa dt) SW_mn, and the conjugation reduces to
+with U0 = e^{+iH} and U_mn = e^{i(H + kappa_mn SW_mn)}: one application is
+the unit of time, so a step tau is the channel of tau H and tau kappa. When H
+commutes with a swap (uniform couplings), U_mn factorizes as U0 times the
+partial swap cos(kappa) I + i sin(kappa) SW_mn, and the conjugation reduces to
 exchanging the tensor axes of sites m and n; otherwise the pair unitary comes
 from a full Hermitian eigendecomposition. Both paths accumulate the mixture in
 fixed pair order, so iterated runs are bitwise reproducible.
@@ -31,7 +32,7 @@ available memory (dense_memory_bytes).
 The product-form mixer has two halves. Summed over pairs, the partial-swap
 sandwiches give sum_k w_k s_k^2 SW_k rho SW_k, formed pair by pair on
 exchanged tensor axes, plus the commutator i[S, rho] with
-S = sum_k w_k sin(theta_k) cos(theta_k) SW_k. S is real and symmetric, and
+S = sum_k w_k sin(kappa_k) cos(kappa_k) SW_k. S is real and symmetric, and
 since a swap never changes popcount it is block-diagonal over the popcount
 sectors for every family, whether or not H has sectors. It is compiled once
 per sector, and i[S, rho] costs one real matmul per sector on each side.
@@ -105,7 +106,7 @@ def _per_pair_map(value, pairs, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ChannelSpec:
-    """Mixture weights and swap strengths of the channel.
+    """Mixture weights and swap strengths of one application, the unit of time.
 
     pair_probabilities: None for the uniform split (1 - p0)/n_pairs, or a
     mapping {(m, n): p} / sequence in pair_list order. kappa: scalar or
@@ -115,7 +116,6 @@ class ChannelSpec:
     p0: float = 0.2
     pair_probabilities: object = None
     kappa: object = 1.0
-    dt: float = 1.0
 
     def resolve(self, n_sites: int):
         """(pairs, probs, kappas) with validated normalization."""
@@ -124,8 +124,6 @@ class ChannelSpec:
             raise ValueError("channel needs at least 2 qubits")
         if not 0.0 < self.p0 < 1.0:
             raise ValueError(f"p0 must lie in (0, 1), got {self.p0}")
-        if not (np.isfinite(self.dt) and self.dt > 0.0):
-            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         if self.pair_probabilities is None:
             probs = np.full(len(pairs), (1.0 - self.p0) / len(pairs))
         else:
@@ -143,12 +141,10 @@ class ChannelSpec:
 
 @dataclass
 class Channel:
-    """Compiled channel: either partial-swap product form or dense unitaries,
-    every unitary held only as its blocks (`blocks`)."""
+    """Compiled channel, product form or dense; every unitary held as its blocks."""
 
     n: int
     dim: int
-    spec: ChannelSpec
     pairs: list
     kappas: np.ndarray
     mode: str                       # "product" or "dense"
@@ -162,7 +158,7 @@ class Channel:
     # = U_k, and their weighted adjoints as a (K, d, d) array, cols[k] =
     # w_k U_k^dag; dense mode only
     members: tuple | None = field(default=None, repr=False)
-    # (indices, real block) of S = sum_k w_k sin(theta_k) cos(theta_k) SW_k
+    # (indices, real block) of S = sum_k w_k sin(kappa_k) cos(kappa_k) SW_k
     # per popcount sector (_swap_sum); product mode only
     swap_sum: tuple | None = field(default=None, repr=False)
 
@@ -185,7 +181,7 @@ class Channel:
         synthesized from H's eigenpairs."""
         if self.u0_phases is not None:
             return [np.diag(self.u0_phases[idx]) for idx in self.blocks]
-        return [u for u, _ in _rotation(self.u0_eigen, self.spec.dt, 1)]
+        return [u for u, _ in _rotation(self.u0_eigen, 1)]
 
     def unitaries(self):
         """Yield (probability, dense unitary) in fixed order, U0 first, each
@@ -195,9 +191,8 @@ class Channel:
                           for k in range(len(self.weights))]
         else:
             u0 = self.u0_blocks()
-            theta = self.kappas * self.spec.dt
-            per_member = [u0] + [_partial_swap(u0, self.blocks, self.n, pair, t)
-                                 for t, pair in zip(theta, self.pairs)]
+            per_member = [u0] + [_partial_swap(u0, self.blocks, self.n, pair, kappa)
+                                 for kappa, pair in zip(self.kappas, self.pairs)]
         for w, member in zip(self.weights, per_member):
             u = np.zeros((self.dim, self.dim), dtype=complex)
             for idx, block in zip(self.blocks, member):
@@ -205,34 +200,33 @@ class Channel:
             yield w, u
 
 
-def _blockwise_exp(h: np.ndarray, blocks, dt: float) -> list:
-    """e^{i h dt} per diagonal block of h (index arrays), one eigh each; the
+def _blockwise_exp(h: np.ndarray, blocks) -> list:
+    """e^{i h} per diagonal block of h (index arrays), one eigh each; the
     polar factor (nearest unitary) trims the synthesis residue."""
     out = []
     for idx in blocks:
         evals, vecs = np.linalg.eigh(h[np.ix_(idx, idx)])
-        w, _, vh = np.linalg.svd((vecs * np.exp(1j * evals * dt)) @ vecs.conj().T)
+        w, _, vh = np.linalg.svd((vecs * np.exp(1j * evals)) @ vecs.conj().T)
         out.append(w @ vh)
     return out
 
 
-def _partial_swap(u0: list, blocks, n_sites: int, pair, theta: float) -> list:
-    """Per block, the pair member cos(theta) U0 + i sin(theta) U0 SW_mn; the
+def _partial_swap(u0: list, blocks, n_sites: int, pair, kappa: float) -> list:
+    """Per block, the pair member cos(kappa) U0 + i sin(kappa) U0 SW_mn; the
     swap maps every block onto itself."""
     perm = swap_permutation(n_sites, *pair)
     local = np.empty(perm.size, dtype=np.intp)      # index -> place in its block
     for idx in blocks:
         local[idx] = np.arange(idx.size)
-    return [np.cos(theta) * u + 1j * np.sin(theta) * u[:, local[perm[idx]]]
+    return [np.cos(kappa) * u + 1j * np.sin(kappa) * u[:, local[perm[idx]]]
             for u, idx in zip(u0, blocks)]
 
 
 def _swap_sum(ch: Channel) -> tuple:
     """(indices, S block) per popcount sector of the real symmetric
-    S = sum_k w_k sin(theta_k) cos(theta_k) SW_k, summed in pair order; one
+    S = sum_k w_k sin(kappa_k) cos(kappa_k) SW_k, summed in pair order; one
     block of every index up to SWAP_SUM_SECTOR_DIM."""
-    theta = ch.kappas * ch.spec.dt
-    coeffs = ch.weights[1:] * np.sin(theta) * np.cos(theta)
+    coeffs = ch.weights[1:] * np.sin(ch.kappas) * np.cos(ch.kappas)
     perms = [swap_permutation(ch.n, m, n) for m, n in ch.pairs]
     blocks = (popcount_sectors(ch.n) if ch.dim > SWAP_SUM_SECTOR_DIM
               else (np.arange(ch.dim),))
@@ -248,10 +242,10 @@ def _swap_sum(ch: Channel) -> tuple:
     return tuple(out)
 
 
-def _rotation(eigen: list, dt: float, n: int) -> list:
-    """U0^n per block with its adjoint, synthesized as V e^{i n dt E} V^dag
+def _rotation(eigen: list, n: int) -> list:
+    """U0^n per block with its adjoint, synthesized as V e^{i n E} V^dag
     with the phases reduced mod 2 pi."""
-    rots = [(vecs * np.exp(1j * np.mod(n * (evals * dt), 2.0 * np.pi))) @ vecs_dag
+    rots = [(vecs * np.exp(1j * np.mod(n * evals, 2.0 * np.pi))) @ vecs_dag
             for evals, vecs, vecs_dag in eigen]
     return [(r, r.conj().T) for r in rots]
 
@@ -325,9 +319,9 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
     residuals = [swap_commutation_residual(H, m, n, kappa=kappas[k], nonzero=nonzero)
                  for k, (m, n) in enumerate(pairs)]
     diag_h = float(np.max(np.abs(H - np.diag(np.diag(H))))) <= 1e-14
-    ch = Channel(n=n_sites, dim=dim, spec=spec, pairs=pairs, kappas=kappas,
+    ch = Channel(n=n_sites, dim=dim, pairs=pairs, kappas=kappas,
                  mode="product" if all(r <= COMMUTE_TOL for r in residuals) else "dense",
-                 u0_phases=np.exp(1j * np.diag(H).real * spec.dt) if diag_h else None,
+                 u0_phases=np.exp(1j * np.diag(H).real) if diag_h else None,
                  sectors=charge_sectors(H), weights=weights)
     blocks = ch.blocks
 
@@ -347,20 +341,20 @@ def build_channel(H: np.ndarray, spec: ChannelSpec | None = None) -> Channel:
         raise DimensionCapError(
             f"dense channel of {n_sites} qubits needs about {need / 2**30:.1f} GiB (members, "
             f"compile and stepper), more than the {budget / 2**30:.1f} GiB of available memory")
-    u0 = ch.u0_blocks() if diag_h else _blockwise_exp(H, blocks, spec.dt)
+    u0 = ch.u0_blocks() if diag_h else _blockwise_exp(H, blocks)
     rows = [np.empty((d, len(weights), d), dtype=complex) for d in sizes]
     for k in range(len(weights)):
         if k == 0:
             member = u0
         elif residuals[k - 1] <= COMMUTE_TOL:
-            member = _partial_swap(u0, blocks, n_sites, pairs[k - 1], kappas[k - 1] * spec.dt)
+            member = _partial_swap(u0, blocks, n_sites, pairs[k - 1], kappas[k - 1])
         else:
             # H + kappa SW without forming SW; adding kappa * 0 first gives
             # the same zero entries the dense sum would; SW_mn keeps popcount,
             # so hk has H's sectors.
             hk = H + kappas[k - 1] * 0.0
             hk[swap_permutation(n_sites, *pairs[k - 1]), np.arange(dim)] += kappas[k - 1]
-            member = _blockwise_exp(hk, blocks, spec.dt)
+            member = _blockwise_exp(hk, blocks)
         _check_unitary(member)
         for r, block in zip(rows, member):
             r[:, k] = block
@@ -387,7 +381,7 @@ def _mix_product(ch: Channel, rho: np.ndarray) -> np.ndarray:
     by U0 in product form.
     """
     rho = np.asarray(rho, dtype=complex)
-    sin_sq = np.sin(ch.kappas * ch.spec.dt) ** 2
+    sin_sq = np.sin(ch.kappas) ** 2
     w_pairs = ch.weights[1:]
     diag_coeff = ch.weights[0] + float(np.sum(w_pairs * (1.0 - sin_sq)))
     inner = diag_coeff * rho
@@ -451,6 +445,8 @@ def _states(ch: Channel, rho0: np.ndarray):
     step as checked (see _dense_steps).
     """
     sigma = np.array(rho0, dtype=complex)
+    if sigma.shape != (ch.dim, ch.dim):
+        raise ValueError(f"operand shape {sigma.shape} does not match dim {ch.dim}")
     validate = yield sigma, sigma
     occupied, gather = _occupied_blocks(ch, sigma)
     if ch.mode == "dense":
@@ -464,11 +460,11 @@ def _states(ch: Channel, rho0: np.ndarray):
 def _rotating_steps(ch: Channel, sigma: np.ndarray, occupied: list, gather: tuple):
     """Product channel, in the rotating frame: only the mixer touches sigma,
     so sandwich roundoff stays out of it. The lab-frame view U0^n sigma U0^-n
-    multiplies by the phases e^{i mod(n E dt, 2 pi)} of a diagonal U0, or
+    multiplies by the phases e^{i mod(n E, 2 pi)} of a diagonal U0, or
     synthesizes U0^n on the occupied blocks."""
     view = np.zeros_like(sigma)
     if ch.u0_phases is not None:
-        angles = np.angle(ch.u0_phases)                # E dt, reduced
+        angles = np.angle(ch.u0_phases)                # E, reduced
     else:
         eigen = [ch.u0_eigen[b] for b in occupied]
         left = np.empty((gather[0].size, gather[0].size), dtype=complex)
@@ -479,7 +475,7 @@ def _rotating_steps(ch: Channel, sigma: np.ndarray, occupied: list, gather: tupl
             np.multiply(sigma, phases[:, None], out=view)
             view *= phases.conj()
         else:
-            frame = _rotation(eigen, ch.spec.dt, n)
+            frame = _rotation(eigen, n)
             view[gather] = _conjugate_blocks(frame, sigma[gather], left)
         yield view, sigma
 
@@ -546,8 +542,6 @@ def _dense_steps(ch: Channel, sigma: np.ndarray, members: list, gather: tuple, v
 
 def apply_channel(ch: Channel, rho: np.ndarray) -> np.ndarray:
     """One application Phi(rho) of any operator: step 1 of the stepper."""
-    if rho.shape != (ch.dim, ch.dim):
-        raise ValueError(f"operand shape {rho.shape} does not match dim {ch.dim}")
     return next(islice(_states(ch, rho), 1, None))[0]
 
 
@@ -657,17 +651,18 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
 
     report = InvariantReport() if validate_stride else None
     want_entropy = "entropy" in record
-    rho0_conj = np.asarray(rho0, dtype=complex).conj()
+    states = _states(ch, rho0)
+    rho, sigma = next(states)           # step 0; _states checks rho0's shape
+    rho0_conj = rho.conj()
     # the spectrum of a partial support is that of its occupied block, plus
     # exact zeros within min_eigenvalue's start
-    occupied, gather = _occupied_blocks(ch, rho0)
+    occupied, gather = _occupied_blocks(ch, rho)
     partial = len(occupied) < len(ch.blocks)
     prev_entropy = None
 
-    states = _states(ch, rho0)
     for n in range(n_rec):
         check_now = validate_stride and (n % validate_stride == 0 or n == steps)
-        rho, sigma = states.send(bool(check_now)) if n else next(states)
+        rho, sigma = states.send(bool(check_now)) if n else (rho, sigma)
         for j, s in enumerate(sites):
             for name, value in zip(SITE_OBSERVABLES, single_site_expectations(rho, s)):
                 if name in records:

@@ -3,8 +3,8 @@
 Site- and bond-resolved Gaussian disorder breaks the exact decoupling between
 the network Hamiltonian and the pair swaps; the oscillating channel modes then
 acquire a finite lifetime. The first-order shift of a mode eigenvalue under
-H -> H + eps H' is purely imaginary (a frequency shift), so decay rates grow
-quadratically in eps and are measured from direct simulation.
+H -> H + eps H' is purely imaginary (a frequency shift), so decay rates per
+application (the unit of time) grow as eps^2; they come from simulation.
 """
 
 from __future__ import annotations
@@ -75,7 +75,7 @@ class PerturbationResult:
     eta the Hilbert-Schmidt-normalized left mode (Tr(eta^dag rho_mode) = 1);
     lambda1 = lambda0 + correction, i.e. the first-order value at unit
     epsilon. Oracle fields compare against the exact channel superoperator
-    eigenvalue nearest e^{i omega dt} at a small finite epsilon.
+    eigenvalue nearest e^{i omega} at a small finite epsilon, per application.
     """
 
     lambda0: complex
@@ -93,7 +93,7 @@ def first_order_eigenvalue_shift(sym, h_prime: np.ndarray,
     """Evaluate the first-order eigenvalue formula for one dynamical symmetry.
 
     With the channel's sign convention (one step multiplies the mode by
-    e^{+i omega dt}), the matching generator is L(X) = +i[H_eff, X], giving
+    e^{+i omega}), the matching generator is L(X) = +i[H_eff, X], giving
     lambda0 = +i omega and a purely imaginary first-order correction
     +i(<E_a|H'|E_a> - <E_b|H'|E_b>): a frequency shift, no decay at this
     order.
@@ -118,10 +118,10 @@ def first_order_eigenvalue_shift(sym, h_prime: np.ndarray,
             raise ValueError("superoperator oracle limited to 3 qubits")
         ch = build_channel(sym.hamiltonian + oracle_epsilon * h_prime, spec)
         evals = np.linalg.eigvals(channel_superoperator(ch))
-        target = np.exp(1j * sym.omega * spec.dt)
+        target = np.exp(1j * sym.omega)
         nearest = evals[np.argmin(np.abs(evals - target))]
         result.oracle_epsilon = float(oracle_epsilon)
-        result.oracle_decay_rate = float(-np.log(np.abs(nearest)) / spec.dt)
+        result.oracle_decay_rate = float(-np.log(np.abs(nearest)))
         result.oracle_phase_shift = float(np.angle(nearest * np.conj(target)))
     return result
 

@@ -2,9 +2,9 @@
 
 Every Hamiltonian eigenpair inside the totally symmetric (exchange-invariant)
 subspace yields an operator A = |E_a><E_b| satisfying [H, A] = omega A with
-omega = E_a - E_b, and [SW_mn, A] = 0 for every pair. One channel step then
-multiplies A rho_st (rho_st = I/2^N) by exactly e^{i omega dt}: inside the
-sector every partial swap acts as a global phase, so each mixture member
+omega = E_a - E_b, and [SW_mn, A] = 0 for every pair. One application, the
+unit of time, multiplies A rho_st (rho_st = I/2^N) by exactly e^{i omega}:
+inside the sector every partial swap acts as a global phase, so each member
 reduces to the free evolution. Superpositions of two sector eigenvectors
 therefore oscillate forever at a single frequency.
 """
@@ -182,10 +182,10 @@ def find_dynamical_symmetries(
 
 
 def verify_dynamical_symmetry(ch: Channel, sym: DynamicalSymmetry) -> float:
-    """Hilbert-Schmidt residual of Phi(A rho_st) - e^{i omega dt} A rho_st."""
+    """Hilbert-Schmidt residual of Phi(A rho_st) - e^{i omega} A rho_st."""
     mode = sym.operator / ch.dim
     evolved = apply_channel(ch, mode)
-    expected = np.exp(1j * sym.omega * ch.spec.dt) * mode
+    expected = np.exp(1j * sym.omega) * mode
     return float(np.linalg.norm(evolved - expected))
 
 

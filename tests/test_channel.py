@@ -43,10 +43,10 @@ def build_swap_operator(m: int, n: int, n_sites: int) -> np.ndarray:
     return sw
 
 
-def expm_hermitian(h, dt=1.0):
-    """Brute-force e^{i h dt} for oracle comparisons."""
+def expm_hermitian(h):
+    """Brute-force e^{i h} for oracle comparisons."""
     evals, vecs = np.linalg.eigh(h)
-    return (vecs * np.exp(1j * evals * dt)) @ vecs.conj().T
+    return (vecs * np.exp(1j * evals)) @ vecs.conj().T
 
 
 def haar_state(n, seed):
@@ -92,18 +92,14 @@ class TestSpecResolution:
             ChannelSpec(kappa=[1.0, 2.0]).resolve(3)
         with pytest.raises(ValueError):
             ChannelSpec().resolve(1)
-        for bad in (0.0, -1.0, np.nan, np.inf):
-            with pytest.raises(ValueError):
-                ChannelSpec(dt=bad).resolve(3)
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 ChannelSpec(kappa=bad).resolve(3)
             with pytest.raises(ValueError):
                 ChannelSpec(pair_probabilities=[bad, 0.4, 0.4]).resolve(3)
-        # a zero step would compile the identity map
-        h = build_hamiltonian(HamiltonianSpec(family="ising", n=2, j_z=0.4, h=0.1))
-        with pytest.raises(ValueError, match="dt"):
-            build_channel(h, ChannelSpec(dt=0))
+        # one application is the unit of time: there is no step to set
+        with pytest.raises(TypeError):
+            ChannelSpec(dt=1.0)
 
 
 class TestBuildModes:
@@ -200,11 +196,15 @@ class TestApply:
         ch = build_channel(ISING3)
         with pytest.raises(ValueError):
             apply_channel(ch, np.eye(4, dtype=complex) / 4)
+        # iterate_channel shares the check, for starts smaller and larger than dim
+        for d in (4, 16):
+            with pytest.raises(ValueError, match="does not match"):
+                iterate_channel(ch, np.eye(d, dtype=complex) / d, 3)
 
 
 def gather_mix(ch, rho):
     """The index-gather form of the partial-swap mixer, as an oracle."""
-    theta = ch.kappas * ch.spec.dt
+    theta = ch.kappas
     cos_t, sin_t = np.cos(theta), np.sin(theta)
     sin_sq = sin_t**2
     cos_sq = 1.0 - sin_sq
@@ -264,7 +264,7 @@ class TestSwapSum:
     @pytest.mark.parametrize("family", ["ising", "xx", "tfi"])
     def test_blocks_equal_dense_sum(self, family, n):
         ch = self.channel(family, n)
-        theta = ch.kappas * ch.spec.dt
+        theta = ch.kappas
         coeffs = ch.weights[1:] * np.sin(theta) * np.cos(theta)
         assert coeffs[0] == 0.0                 # a pair with kappa = 0 adds nothing
         dense = np.zeros((ch.dim, ch.dim))
@@ -463,7 +463,7 @@ class TestChargeSectors:
     @pytest.mark.parametrize("n", range(3, 7))
     def test_sector_built_channel_matches_full_eigh(self, n):
         # disordered XX: every member from one eigh per sector agrees with
-        # e^{i(H + kappa SW) dt} from a full eigh, and so do 200 steps from a
+        # e^{i(H + kappa SW)} from a full eigh, and so do 200 steps from a
         # start on two sectors and from one on every sector
         h = disordered("xx", n, seed=n, j_x=0.4, h=1.0)
         ch = build_channel(h)

@@ -315,11 +315,14 @@ class TestCli:
         {"burn_in": 0.0},
         {"seed": 4.0, "initial_state": {"kind": "haar_random_pure"}},
         {"initial_state": {"kind": "haar_random_pure", "seed": 4.0}},
+        {"channel": {"dt": 1.0}},
     ], ids=["kappa_missing_pairs", "probabilities_not_normalized", "pair_out_of_range",
-            "float_steps", "float_n", "float_burn_in", "float_seed", "float_state_seed"])
+            "float_steps", "float_n", "float_burn_in", "float_seed", "float_state_seed",
+            "channel_dt"])
     def test_unresolvable_config_exits_before_writing(self, over, tmp_path, capsys):
-        # configs that the channel or initial state cannot take, and integer
-        # fields given as integral floats
+        # configs that the channel or initial state cannot take, integer
+        # fields given as integral floats, and a step (channel.dt), which is
+        # not a key: one application is the unit of time
         path = tmp_path / "exp.json"
         path.write_text(json.dumps(tiny_config(**over)))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
