@@ -32,9 +32,7 @@ from .channel import (
 )
 from .attractor import (
     AttractorSpectrum,
-    ClassIndex,
     asymptotic_state,
-    build_gamma,
     commutant_distance,
     enumerate_classes,
     general_attractor_spectrum,
@@ -87,8 +85,7 @@ __all__ = [
     "Channel", "ChannelInvariantError", "ChannelSpec", "InvariantReport",
     "Trajectory", "apply_channel", "build_channel", "channel_superoperator",
     "iterate_channel", "unitality_error",
-    "AttractorSpectrum", "ClassIndex", "asymptotic_state",
-    "build_gamma", "commutant_distance",
+    "AttractorSpectrum", "asymptotic_state", "commutant_distance",
     "enumerate_classes", "general_attractor_spectrum",
     "ising_attractor_spectrum", "reduce_gamma", "single_site_frequencies",
     "DynamicalSymmetry", "SymmetricSectorBasis", "clean_tc_state",

@@ -6,11 +6,12 @@ the per-site (upper, lower) index columns of a basis outer product. All
 unimodular eigen-operators of the channel live in this span; the late-time
 state is their phase-rotating sum weighted by initial overlaps.
 
-Every matrix entry belongs to exactly one class, so one integer label per
-entry (`class_labels`) stands for the whole basis: overlaps with the Gamma
-operators are label-wise sums and their combinations are label-wise
-gathers, both O(dim^2). Operators in the span are held as class
-coordinates, never as a dense stack of Gamma matrices.
+A class is a row of one count table (`enumerate_classes`). Every matrix
+entry belongs to exactly one class, so one integer label per entry
+(`class_labels`, the row of the entry's class) stands for the whole basis:
+overlaps with the Gamma operators are label-wise sums and their
+combinations are label-wise gathers, both O(dim^2). Gamma exists only as
+such a gather; operators in the span are held as class coordinates.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
-from math import comb
 
 import numpy as np
 
@@ -32,75 +32,37 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class ClassIndex:
-    """Column counts (b00, b01, b10, b11); entries (i, j) belong to the class
-    when, sitewise, the pair (bit_i, bit_j) has these multiplicities."""
-
-    b00: int
-    b01: int
-    b10: int
-    b11: int
-
-    def __post_init__(self):
-        counts = (self.b00, self.b01, self.b10, self.b11)
-        if any(c < 0 for c in counts):
-            raise ValueError(f"class counts must be nonnegative, got {counts}")
-
-    @property
-    def n(self) -> int:
-        return self.b00 + self.b01 + self.b10 + self.b11
-
-    @property
-    def upper_magnetization(self) -> int:
-        return self.b00 + self.b01 - self.b10 - self.b11
-
-    @property
-    def lower_magnetization(self) -> int:
-        return self.b00 + self.b10 - self.b01 - self.b11
-
-    @property
-    def arrangements(self) -> int:
-        """Distinct site arrangements of the column multiset."""
-        n = self.n
-        return (comb(n, self.b01) * comb(n - self.b01, self.b10)
-                * comb(n - self.b01 - self.b10, self.b11))
-
-    def as_tuple(self) -> tuple:
-        return (self.b00, self.b01, self.b10, self.b11)
-
-
-def enumerate_classes(n_sites: int) -> list[ClassIndex]:
-    """All classes for N sites in lexicographic order; count C(N+3, 3)."""
+@lru_cache(maxsize=None)
+def enumerate_classes(n_sites: int) -> np.ndarray:
+    """All classes for N sites: a read-only (C(N+3, 3), 4) array whose row k
+    is class k's counts (b00, b01, b10, b11), in lexicographic order."""
     check_qubit_count(n_sites)
-    out = []
-    for b00 in range(n_sites + 1):
-        for b01 in range(n_sites - b00 + 1):
-            for b10 in range(n_sites - b00 - b01 + 1):
-                b11 = n_sites - b00 - b01 - b10
-                out.append(ClassIndex(b00, b01, b10, b11))
-    return out
+    table = np.array([(b00, b01, b10, n_sites - b00 - b01 - b10)
+                      for b00 in range(n_sites + 1)
+                      for b01 in range(n_sites - b00 + 1)
+                      for b10 in range(n_sites - b00 - b01 + 1)], dtype=np.intp)
+    table.setflags(write=False)
+    return table
 
 
 @lru_cache(maxsize=4)
 def class_labels(n_sites: int) -> tuple[np.ndarray, np.ndarray]:
     """(labels, sizes): the class of every matrix entry and each class's size.
 
-    labels[i, j] is the position in enumerate_classes(n_sites) of the class
-    of entry (i, j), read from b11 = popcount(i & j), b10 = popcount(i & ~j)
-    and b01 = popcount(~i & j). sizes[k] is class k's entry count, its
-    arrangements. Gamma_k is (labels == k) / sqrt(sizes[k]). Both arrays are
-    cached per network size and read-only.
+    labels[i, j] is the row of enumerate_classes(n_sites) that holds the
+    class of entry (i, j), read from b11 = popcount(i & j), b10 =
+    popcount(i & ~j) and b01 = popcount(~i & j). sizes[k] is class k's entry
+    count. Gamma_k is (labels == k) / sqrt(sizes[k]). Both arrays are cached
+    per network size and read-only.
     """
     classes = enumerate_classes(n_sites)
     position = np.empty((n_sites + 1,) * 3, dtype=np.intp)
-    for k, beta in enumerate(classes):
-        position[beta.b01, beta.b10, beta.b11] = k
+    position[classes[:, 1], classes[:, 2], classes[:, 3]] = np.arange(len(classes))
     popcount = popcounts(n_sites)
     idx = np.arange(2**n_sites)
     b11 = popcount[idx[:, None] & idx[None, :]]
     labels = position[popcount[None, :] - b11, popcount[:, None] - b11, b11]
-    sizes = np.array([beta.arrangements for beta in classes], dtype=np.intp)
+    sizes = np.bincount(labels.ravel(), minlength=len(classes))
     labels.setflags(write=False)
     sizes.setflags(write=False)
     return labels, sizes
@@ -129,15 +91,6 @@ def _from_class_coordinates(coords: np.ndarray, n_sites: int) -> np.ndarray:
     return (coords / np.sqrt(sizes))[..., labels]
 
 
-def build_gamma(beta: ClassIndex) -> np.ndarray:
-    """The class operator Gamma_beta as a dense matrix (unit Hilbert-Schmidt norm)."""
-    n = check_qubit_count(beta.n)
-    labels, _ = class_labels(n)
-    mat = np.zeros(labels.shape, dtype=complex)
-    mat[labels == enumerate_classes(n).index(beta)] = 1.0 / np.sqrt(beta.arrangements)
-    return mat
-
-
 def ising_energy(magnetization: float, n_sites: int, j_z: float, h: float) -> float:
     """Diagonal energy as a function of total magnetization M."""
     return j_z * (magnetization**2 - n_sites) / 2.0 + h * magnetization
@@ -149,8 +102,8 @@ class AttractorSpectrum:
 
     The eigen-operators are held as class coordinates: operator k is
     sum_b coordinates[k, b] Gamma_b. In the analytic (Ising) spectrum the
-    coordinates are the identity, so entry k is the class
-    enumerate_classes(n_sites)[k].
+    coordinates are the identity, so entry k is the class in row k of
+    enumerate_classes(n_sites).
     """
 
     eigenvalues: np.ndarray
@@ -192,20 +145,11 @@ def ising_attractor_spectrum(n_sites: int, j_z: float, h: float) -> AttractorSpe
     Classes whose upper and lower indices share a magnetization are exactly
     stationary (nu = 1). The eigen-operators are the Gamma_beta themselves.
     """
-    check_qubit_count(n_sites)
-    classes = enumerate_classes(n_sites)
-    eigenvalues = np.empty(len(classes), dtype=complex)
-    for k, beta in enumerate(classes):
-        m_up = beta.upper_magnetization
-        m_low = beta.lower_magnetization
-        if m_up == m_low:
-            eigenvalues[k] = 1.0
-        else:
-            phase = ising_energy(m_up, n_sites, j_z, h) - ising_energy(m_low, n_sites, j_z, h)
-            eigenvalues[k] = np.exp(1j * phase)
-    return AttractorSpectrum(eigenvalues=eigenvalues,
-                             coordinates=np.eye(len(classes), dtype=complex),
-                             n_sites=n_sites)
+    b00, b01, b10, b11 = enumerate_classes(n_sites).T
+    m_up, m_low = b00 + b01 - b10 - b11, b00 + b10 - b01 - b11
+    eigenvalues = np.exp(1j * (ising_energy(m_up, n_sites, j_z, h)
+                               - ising_energy(m_low, n_sites, j_z, h)))
+    return AttractorSpectrum(eigenvalues, np.eye(len(eigenvalues), dtype=complex), n_sites)
 
 
 def general_attractor_spectrum(H: np.ndarray) -> AttractorSpectrum:
@@ -304,23 +248,22 @@ def commutant_distance(rho: np.ndarray) -> float:
     return float(np.linalg.norm(rho - proj))
 
 
-def reduce_gamma(beta: ClassIndex) -> list[tuple[float, ClassIndex]]:
-    """Partial trace of Gamma_beta over any one site, as weighted classes.
+def reduce_gamma(beta) -> list[tuple[float, tuple]]:
+    """Partial trace of Gamma_beta over any one site, as weighted classes;
+    beta and each class returned are counts (b00, b01, b10, b11).
 
     Tr_m(Gamma_beta) = (1/sqrt N) [sqrt(b00) Gamma_{b00-1} + sqrt(b11) Gamma_{b11-1}]
     on N-1 sites; empty iff b00 = b11 = 0 (no diagonal columns to consume).
     """
-    n = beta.n
+    counts = np.asarray(beta)
+    if counts.shape != (4,) or counts.dtype.kind not in "iu" or counts.min() < 0:
+        raise ValueError(f"a class is four counts >= 0 (b00, b01, b10, b11), got {beta!r}")
+    b00, b01, b10, b11 = counts.tolist()
+    n = b00 + b01 + b10 + b11
     if n < 2:
         raise ValueError("reduction needs at least 2 sites")
-    out = []
-    if beta.b00 > 0:
-        out.append((np.sqrt(beta.b00 / n),
-                    ClassIndex(beta.b00 - 1, beta.b01, beta.b10, beta.b11)))
-    if beta.b11 > 0:
-        out.append((np.sqrt(beta.b11 / n),
-                    ClassIndex(beta.b00, beta.b01, beta.b10, beta.b11 - 1)))
-    return out
+    terms = [(b00, (b00 - 1, b01, b10, b11)), (b11, (b00, b01, b10, b11 - 1))]
+    return [(np.sqrt(b / n), smaller) for b, smaller in terms if b > 0]
 
 
 def single_site_frequencies(n_sites: int, j_z: float, h: float) -> np.ndarray:

@@ -634,6 +634,8 @@ def iterate_channel(ch: Channel, rho0: np.ndarray, steps: int,
     """
     if steps < 0:
         raise ValueError("steps must be >= 0")
+    if not isinstance(validate_stride, (int, np.integer)) or validate_stride < 0:
+        raise ValueError(f"validate_stride must be an integer >= 0, got {validate_stride!r}")
     record = tuple(record)
     unknown = [r for r in record if r not in OBSERVABLE_NAMES]
     if unknown:

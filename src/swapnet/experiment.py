@@ -19,7 +19,7 @@ import numbers
 import os
 import sys
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from importlib import resources
 from pathlib import Path
 
@@ -65,6 +65,22 @@ def _count(value, name: str) -> int:
     return value
 
 
+def _known_keys(obj: dict, spec, prefix: str, filled: tuple) -> None:
+    """Refuse a key of obj that is no field of spec (or one filled elsewhere)."""
+    allowed = {f.name for f in fields(spec)} - set(filled)
+    unknown = [f"{prefix}{k}" for k in obj if k not in allowed]
+    if unknown:
+        raise ConfigError(f"unknown key {', '.join(unknown)}")
+
+
+def _pair_key(text: str, name: str) -> tuple:
+    """The pair (m, n) a config map key 'm,n' names."""
+    parts = text.split(",")
+    if len(parts) != 2 or not all(p.strip().isdecimal() for p in parts):
+        raise ConfigError(f"{name} key {text!r} must name a pair as 'm,n'")
+    return tuple(int(p) for p in parts)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One fully specified run. Round-trips losslessly through JSON."""
@@ -93,11 +109,12 @@ class ExperimentConfig:
         nulls = [k for obj in objects for k, v in obj.items() if v is None]
         if nulls:
             raise ConfigError(f"null values for {nulls}; leave such keys out")
+        _known_keys(data, ExperimentConfig, "", ())
         kwargs = {k: tuple(v) if k in ("record", "sites") and isinstance(v, list) else v
                   for k, v in data.items()}
         try:
             cfg = ExperimentConfig(**kwargs)
-        except TypeError as exc:    # a missing or unknown top-level key
+        except TypeError as exc:    # a missing top-level key
             raise ConfigError(str(exc)) from exc
         cfg.validate()
         return cfg
@@ -130,6 +147,11 @@ class ExperimentConfig:
             value = getattr(self, key)
             if not isinstance(value, dict) and (key != "disorder" or value is not None):
                 raise ConfigError(f"{key} must be an object, got {value!r}")
+        # keys before values: a misspelt key is named as unknown, not mistyped
+        _known_keys(self.hamiltonian, HamiltonianSpec, "hamiltonian.", ("n",))
+        _known_keys(self.initial_state, StateSpec, "initial_state.", ())
+        _known_keys(self.channel, ChannelSpec, "channel.", ())
+        _known_keys(self.disorder or {}, DisorderSpec, "disorder.", ("base",))
         if (not isinstance(self.record, (list, tuple)) or "sx" not in self.record
                 or any(name not in OBSERVABLE_NAMES for name in self.record)):
             raise ConfigError(f"record must list names of {OBSERVABLE_NAMES}, sx (the "
@@ -208,7 +230,7 @@ class ExperimentConfig:
         try:
             for key, value in self.channel.items():
                 if key in ("pair_probabilities", "kappa") and isinstance(value, dict):
-                    ch[key] = {tuple(int(x) for x in k.split(",")): _number(v, f"channel.{key}")
+                    ch[key] = {_pair_key(k, f"channel.{key}"): _number(v, f"channel.{key}")
                                for k, v in value.items()}
                 elif key in ("pair_probabilities", "kappa") and isinstance(value, list):
                     for v in value:

@@ -6,9 +6,8 @@ import numpy as np
 import pytest
 
 from swapnet.attractor import (
-    ClassIndex,
+    _from_class_coordinates,
     asymptotic_state,
-    build_gamma,
     class_labels,
     commutant_distance,
     enumerate_classes,
@@ -39,24 +38,29 @@ def partial_trace(rho: np.ndarray, drop) -> np.ndarray:
     return tensor.reshape(2**remaining, 2**remaining)
 
 
-def find_class(classes, tup):
-    for beta in classes:
-        if beta.as_tuple() == tup:
-            return beta
-    raise AssertionError(f"class {tup} not found")
+def find_class(n, tup):
+    """The row of enumerate_classes(n) that holds the counts tup."""
+    (k,) = np.flatnonzero((enumerate_classes(n) == tup).all(axis=1))
+    return k
+
+
+def gamma_stack(n):
+    """(K, dim, dim) stack of every Gamma, as the label gather builds it."""
+    return _from_class_coordinates(np.eye(len(enumerate_classes(n)), dtype=complex), n)
 
 
 def combination_entries(beta):
     """(rows, cols) of the class's entries by enumerating site arrangements."""
-    n = beta.n
+    b00, b01, b10, b11 = beta
+    n = b00 + b01 + b10 + b11
     sites = tuple(range(n))
     weights = [1 << (n - 1 - s) for s in sites]
     rows, cols = [], []
-    for pos01 in combinations(sites, beta.b01):
+    for pos01 in combinations(sites, b01):
         rem1 = tuple(s for s in sites if s not in pos01)
-        for pos10 in combinations(rem1, beta.b10):
+        for pos10 in combinations(rem1, b10):
             rem2 = tuple(s for s in rem1 if s not in pos10)
-            for pos11 in combinations(rem2, beta.b11):
+            for pos11 in combinations(rem2, b11):
                 rows.append(sum(weights[s] for s in pos10 + pos11))
                 cols.append(sum(weights[s] for s in pos01 + pos11))
     return np.asarray(rows), np.asarray(cols)
@@ -67,7 +71,7 @@ def dense_gamma_stack(n):
     stack = np.zeros((len(classes), 2**n, 2**n), dtype=complex)
     for k, beta in enumerate(classes):
         rows, cols = combination_entries(beta)
-        stack[k, rows, cols] = 1.0 / np.sqrt(beta.arrangements)
+        stack[k, rows, cols] = 1.0 / np.sqrt(len(rows))
     return stack
 
 
@@ -104,27 +108,42 @@ class TestClassIndex:
             assert len(classes) == expected
             assert len(classes) == comb(n + 3, 3)
 
+    def test_count_table(self):
+        for n in range(1, 11):
+            expected = [(b00, b01, b10, b11) for b00 in range(n + 1)
+                        for b01 in range(n + 1) for b10 in range(n + 1)
+                        for b11 in range(n + 1) if b00 + b01 + b10 + b11 == n]
+            table = enumerate_classes(n)
+            assert table.dtype == np.intp
+            assert np.array_equal(table, expected)
+            assert enumerate_classes(n) is table
+            with pytest.raises(ValueError):
+                table[0, 0] = 1
+
     def test_classes_partition_all_entries(self):
         for n in (2, 3):
-            total = sum(beta.arrangements for beta in enumerate_classes(n))
+            total = sum(len(combination_entries(beta)[0]) for beta in enumerate_classes(n))
             assert total == 4**n
 
     def test_arrangements(self):
-        assert ClassIndex(3, 0, 0, 0).arrangements == 1
-        assert ClassIndex(1, 1, 1, 0).arrangements == 6
-        assert ClassIndex(1, 1, 0, 1).arrangements == 6
-        assert ClassIndex(0, 2, 0, 0).arrangements == 1
+        for n, tup, count in ((3, (3, 0, 0, 0), 1), (3, (1, 1, 1, 0), 6),
+                              (3, (1, 1, 0, 1), 6), (2, (0, 2, 0, 0), 1)):
+            assert class_labels(n)[1][find_class(n, tup)] == count
 
     def test_magnetizations(self):
-        beta = ClassIndex(2, 1, 0, 0)
-        assert beta.upper_magnetization == 3
-        assert beta.lower_magnetization == 1
-        assert ClassIndex(0, 1, 0, 2).upper_magnetization == -1
-        assert ClassIndex(0, 1, 0, 2).lower_magnetization == -3
+        # a row's Ising phase is eps(M_up) - eps(M_low); a pure field gives
+        # M_up - M_low and a pure coupling M_up^2 - M_low^2, so the two
+        # together pin both magnetizations
+        for tup, m_up, m_low in (((2, 1, 0, 0), 3, 1), ((0, 1, 0, 2), -1, -3)):
+            for j_z, h in ((0.0, 0.3), (0.1, 0.0)):
+                phase = ising_energy(m_up, 3, j_z, h) - ising_energy(m_low, 3, j_z, h)
+                w = ising_attractor_spectrum(3, j_z, h).eigenvalues[find_class(3, tup)]
+                assert np.isclose(w, np.exp(1j * phase), atol=1e-12)
 
     def test_negative_counts_rejected(self):
-        with pytest.raises(ValueError):
-            ClassIndex(-1, 2, 0, 0)
+        for beta in ((-1, 2, 0, 0), (1, 1, 1), (1, 1, 1, 0, 0)):
+            with pytest.raises(ValueError):
+                reduce_gamma(beta)
 
 
 class TestClassLabels:
@@ -133,14 +152,12 @@ class TestClassLabels:
             labels, sizes = class_labels(n)
             classes = enumerate_classes(n)
             assert labels.shape == (2**n, 2**n)
-            assert np.array_equal(sizes, [b.arrangements for b in classes])
-            assert np.array_equal(np.bincount(labels.ravel(), minlength=len(classes)),
-                                  sizes)
             expected = np.full((2**n, 2**n), -1)
             for k, beta in enumerate(classes):
                 rows, cols = combination_entries(beta)
                 assert np.all(expected[rows, cols] == -1)
                 expected[rows, cols] = k
+                assert sizes[k] == len(rows)
             assert np.array_equal(labels, expected)
 
     def test_cached_and_read_only(self):
@@ -155,38 +172,38 @@ class TestClassLabels:
 class TestGammaBasis:
     def test_all_zero_class_is_ground_projector(self):
         for n in (2, 3):
-            mat = build_gamma(ClassIndex(n, 0, 0, 0))
+            mat = gamma_stack(n)[find_class(n, (n, 0, 0, 0))]
             expected = np.zeros((2**n, 2**n), dtype=complex)
             expected[0, 0] = 1.0
             assert np.array_equal(mat, expected)
 
     def test_explicit_two_qubit_element(self):
-        mat = build_gamma(ClassIndex(1, 1, 0, 0))
+        mat = gamma_stack(2)[find_class(2, (1, 1, 0, 0))]
         expected = np.zeros((4, 4), dtype=complex)
         expected[0, 1] = expected[0, 2] = 1 / np.sqrt(2)
         assert np.allclose(mat, expected)
 
     def test_orthonormal(self):
         for n in (2, 3):
-            stack = np.stack([build_gamma(b) for b in enumerate_classes(n)])
+            stack = gamma_stack(n)
             gram = np.einsum("aij,bij->ab", stack.conj(), stack)
             assert np.max(np.abs(gram - np.eye(len(stack)))) <= 1e-10
 
     def test_reduction_matches_dense_partial_trace(self):
         # tracing any site maps a class operator to a 2-term combination
-        for beta in enumerate_classes(3):
-            dense = partial_trace(build_gamma(beta), [0])
+        gammas, smaller_gammas = gamma_stack(3), gamma_stack(2)
+        for gamma, beta in zip(gammas, enumerate_classes(3)):
+            dense = partial_trace(gamma, [0])
             combo = np.zeros((4, 4), dtype=complex)
             for w, smaller in reduce_gamma(beta):
-                combo += w * build_gamma(smaller)
+                combo += w * smaller_gammas[find_class(2, smaller)]
             assert np.allclose(dense, combo, atol=1e-12)
-            assert np.allclose(dense, partial_trace(build_gamma(beta), [2]),
-                               atol=1e-12)
+            assert np.allclose(dense, partial_trace(gamma, [2]), atol=1e-12)
 
     def test_reduction_empty_for_offdiagonal_columns(self):
-        assert reduce_gamma(ClassIndex(0, 2, 1, 0)) == []
+        assert reduce_gamma((0, 2, 1, 0)) == []
         with pytest.raises(ValueError):
-            reduce_gamma(ClassIndex(0, 1, 0, 0))
+            reduce_gamma((0, 1, 0, 0))
 
 
 class TestIsingSpectrum:
@@ -199,16 +216,16 @@ class TestIsingSpectrum:
     def test_hand_computed_phases(self):
         spec = ising_attractor_spectrum(3, 0.4, 0.1)
         cases = {(2, 1, 0, 0): 1.8, (1, 1, 0, 1): 0.2, (0, 1, 0, 2): -1.4}
-        for k, beta in enumerate(enumerate_classes(3)):
-            if beta.as_tuple() in cases:
-                expected = np.exp(1j * cases[beta.as_tuple()])
+        for k, beta in enumerate(enumerate_classes(3).tolist()):
+            if tuple(beta) in cases:
+                expected = np.exp(1j * cases[tuple(beta)])
                 assert np.isclose(spec.eigenvalues[k], expected, atol=1e-12)
 
     def test_stationary_classes(self):
         spec = ising_attractor_spectrum(3, 0.4, 0.1)
         n_stationary = 0
-        for k, beta in enumerate(enumerate_classes(3)):
-            if beta.upper_magnetization == beta.lower_magnetization:
+        for k, (b00, b01, b10, b11) in enumerate(enumerate_classes(3)):
+            if b00 + b01 - b10 - b11 == b00 + b10 - b01 - b11:    # M_up == M_low
                 assert spec.eigenvalues[k] == 1.0
                 n_stationary += 1
         # b01 == b10 classes: 4 with b01=b10=0, 2 with b01=b10=1

@@ -426,6 +426,9 @@ class TestIterate:
             iterate_channel(ch, haar_state(3, 17), 5, sites=(0, 3))
         with pytest.raises(ValueError):
             iterate_channel(ch, haar_state(3, 17), -1)
+        for stride in (-1, 2.5):
+            with pytest.raises(ValueError, match="validate_stride"):
+                iterate_channel(ch, haar_state(3, 17), 5, validate_stride=stride)
 
 
 def disordered(family, n, seed, epsilon=0.1, **couplings):

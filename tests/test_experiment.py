@@ -121,6 +121,21 @@ class TestConfig:
         for data in bad:
             with pytest.raises(ConfigError):
                 ExperimentConfig.from_dict(data)
+        # an unknown key is named as one, whatever its value
+        named = [(tiny_config(channel={"dt": "1"}), "unknown key channel.dt"),
+                 (tiny_config(channel={"dt": 0.5}), "unknown key channel.dt"),
+                 (tiny_config(hamiltonian={"family": "ising", "jz": 0.4}),
+                  "unknown key hamiltonian.jz"),
+                 (tiny_config(initial_state={**state, "bogus": 1}),
+                  "unknown key initial_state.bogus"),
+                 (tiny_config(disorder={"epsilon": 0.1, "seed": 1, "sigma": 2}),
+                  "unknown key disorder.sigma"),
+                 (tiny_config(bogus=1), "unknown key bogus"),
+                 (tiny_config(channel={"kappa": {"0,1,2": 1.0}}),
+                  "channel.kappa key '0,1,2' must name a pair")]
+        for data, message in named:
+            with pytest.raises(ConfigError, match=message):
+                ExperimentConfig.from_dict(data)
 
     def test_semantic_rejections(self):
         with pytest.raises(ConfigError):
